@@ -66,7 +66,7 @@ LAYER_MAP = {
                                               _HOT),
     "stages.distributed.shuffle.rows": ("count", "lower", "dedup_s", _ALL),
     "stages.distributed.shuffle.bytes": ("bytes", "lower", "dedup_s", _ALL),
-    "stages.distributed.reduce_skew": ("ratio", "lower", "graph_s", _HOT),
+    "stages.distributed.reduce_skew": ("ratio", "lower", "graph_s", _ALL),
     "ray.spilled_bytes": ("bytes", "lower", "dedup_s", _ALL),
     "trace.overhead_s": ("s", "lower", None, _ALL),
 }

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload long_tail --seed 1 --seconds 34 --trace 0
+    python3 perfbench/run.py --workload long_tail --seed 1 --seconds 20 --trace 0
 
 It drives the public pipeline entry points from outside -- `run_extraction`,
 `materialize_graph` and `dedup_changes` of `pipelines.kg` -- on a local Ray
@@ -15,10 +15,9 @@ workloads.py):
 - long_tail: 1,200 short-history entities (2-4 revisions, ~15% media spans,
   scholarly-article / astronomical-object / other types, so every write-gate
   route fires); the per-document, per-row and sink layers carry the time.
-- hot_entities: 12 entities with 100 revisions each over snapshots of 60+
-  statements, plus 8 edit storms of 300 revisions on one statement;
-  re-parsing and re-diffing the entity JSON carries the extraction time, and
-  the storms skew the graph replay's and the dedup's shuffle reducers.
+- hot_entities: 8 entities with 100 revisions each over snapshots of 160+
+  statements; re-parsing and re-diffing the entity JSON on every revision
+  carries the extraction time.
 
 Each iteration of the window runs a fresh `run_extraction` (docs_per_s,
 revisions_per_s), a re-run over the finished directory (resume_s),
@@ -31,8 +30,8 @@ SETUP_CYCLES `ray.init` + warm-up cycles.
 Correctness gate, in every iteration: no failed document; value_change keys
 and graph triples each P = R = 1 against the generator; the resume run
 reports every partition resumed and leaves the output byte-identical; the
-dedup output has one row per distinct key of its input. A failed check fails
-the run: it reports no numbers and exits 1.
+dedup output holds each primary key of value_change exactly once. A failed
+check fails the run: it reports no numbers and exits 1.
 
 --trace 1 alternates traced and untraced iterations and reports the
 per-layer metrics of layers.py plus the tracing overhead. Reports, spans and
@@ -56,13 +55,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BENCH_OUT = os.path.join(ROOT, ".bench_out")
 CACHE_DIR = os.path.join(ROOT, ".bench_cache")
+# Ray's session files go inside the checkout, as everything the benchmark
+# writes does. A Unix socket path holds at most 107 bytes and Ray appends up
+# to ~64 to its temp dir, so from a checkout whose path is too long Ray keeps
+# its default temp dir.
 RAY_TMP = os.path.join(ROOT, ".ray")
-# a Unix socket path holds at most 107 bytes and Ray appends up to ~64 to its
-# temp dir; from a checkout whose path is too long, Ray uses its default
 RAY_TMP_MAX_LEN = 42
-SETUP_CYCLES = 3
+SETUP_CYCLES = 2
 MIN_ITERATIONS = 3
-HARD_STOP_S = 90.0
+HARD_STOP_S = 60.0
 OBJECT_STORE_BYTES = 512 * 2**20
 
 E2E_UNITS = {
@@ -121,8 +122,9 @@ class Bench:
         self.out_dir = None
         self.out_files = None
         self.partitions = 0
-        self.vc_stats = None
-        self.session_dir = None
+        self.vc_rows = 0
+        self.vc_pk = None
+        self.session_dirs: list[str] = []
         self.extract_kw = {"sa_types": corpus.SA_TYPES,
                            "ao_types": corpus.AO_TYPES}
 
@@ -151,8 +153,8 @@ class Bench:
         ctx.enable_progress_bars = False
         ctx.print_on_execution_start = False
         logging.getLogger("ray.data").setLevel(logging.WARNING)
-        self.session_dir = ray._private.worker._global_node.address_info[
-            "session_dir"]
+        self.session_dirs.append(
+            ray._private.worker._global_node.address_info["session_dir"])
 
     def _warm(self, k: int):
         """First extraction, on a tiny corpus: starts the worker, imports
@@ -227,9 +229,9 @@ class Bench:
         self.partitions = len(rows)
         self.out_files = {f: _sha1(os.path.join(out, f))
                           for f in layers.dir_files(out)}
-        self.vc_stats = {"rows": vc.num_rows,
-                         "distinct_pk": vc.group_by(workloads.DEDUP_PK)
-                         .aggregate([]).num_rows}
+        self.vc_rows = vc.num_rows
+        self.vc_pk = set(zip(*(vc.column(c).to_pylist()
+                               for c in workloads.DEDUP_PK)))
         if traced:
             rec.update(layers.extraction_layers(
                 rows, out, wall, self.inputs.meta["text_spans"],
@@ -287,6 +289,8 @@ class Bench:
             raise CheckFailed(f"graph: P={p} R={r}")
 
     def _dedup(self, traced: bool, rec: dict):
+        import pyarrow as pa
+        import ray
         import ray.data
 
         from perfbench import layers, workloads
@@ -305,10 +309,12 @@ class Bench:
         if traced:
             rec["dedup_ops"] = layers.shuffle_layers(
                 deduped, "drop_local_dupes", "dedup_bucket")
-        if n != self.vc_stats["distinct_pk"]:
+        t = pa.concat_tables(ray.get(deduped.to_arrow_refs()))
+        pk = list(zip(*(t.column(c).to_pylist() for c in workloads.DEDUP_PK)))
+        if n != len(pk) or len(set(pk)) != n or set(pk) != self.vc_pk:
             self.failed += 1
-            raise CheckFailed(f"dedup: {n} rows out, "
-                              f"{self.vc_stats['distinct_pk']} distinct keys")
+            raise CheckFailed(f"dedup: {n} rows out, {len(set(pk))} distinct "
+                              f"keys, {len(self.vc_pk)} expected")
 
     def iteration(self, i: int, traced: bool) -> dict:
         rec = {"index": i, "traced": traced}
@@ -397,7 +403,7 @@ class Bench:
             return median([fn(r["graph_ops"], r["dedup_ops"], r)
                            for r in traced])
 
-        rows_in = self.vc_stats["rows"]
+        rows_in = self.vc_rows
         values.update({
             "pipelines.kg.local_last.busy_s":
                 per_iter(lambda g, d, r: g["local_busy_s"]),
@@ -459,7 +465,7 @@ class Bench:
         try:
             self.setup()
             self.measure()
-            rss = tracing.peak_worker_rss_mb(self.session_dir)
+            rss = tracing.peak_worker_rss_mb(self.session_dirs[-1])
             if self.args.trace:
                 metrics, tail_pct = self.per_layer()
                 report["partition_tail_percentile"] = tail_pct
@@ -479,7 +485,8 @@ class Bench:
             if ray.is_initialized():
                 ray.shutdown()
             shutil.rmtree(self.work, ignore_errors=True)
-            shutil.rmtree(RAY_TMP, ignore_errors=True)
+            for d in self.session_dirs:
+                shutil.rmtree(d, ignore_errors=True)
         result["attempted"] = max(self.attempted, 1)
         result["failed"] = self.failed
         if not result["correct"]:

@@ -40,8 +40,7 @@ SIZES = {
         "long_tail": {"docs": 1200, "min_revisions": 2, "max_revisions": 4,
                       "media_prob": 0.15, "shard_docs": 300,
                       "row_group": 100},
-        "hot_entities": {"entities": 12, "revisions": 100, "statements": 60,
-                         "storms": 8, "storm_revisions": 300,
+        "hot_entities": {"entities": 8, "revisions": 100, "statements": 160,
                          "row_group": 1},
     },
     "tiny": {
@@ -49,7 +48,6 @@ SIZES = {
                       "media_prob": 0.15, "shard_docs": 30,
                       "row_group": 10},
         "hot_entities": {"entities": 3, "revisions": 12, "statements": 8,
-                         "storms": 2, "storm_revisions": 20,
                          "row_group": 1},
     },
 }
@@ -91,28 +89,10 @@ def _hot_entity(qid: str, rng: random.Random, revisions: int,
     return sim
 
 
-def _storm_entity(qid: str, rng: random.Random,
-                  revisions: int) -> corpus.EntitySim:
-    """An edit storm: `revisions` revisions that keep updating ONE statement
-    (the shape of `make_corpus`'s hot documents). Its history collapses in
-    the graph replay's block-local step but skews the shuffle reducers."""
-    sim = corpus.EntitySim(qid, rng, rev_base=int(qid[1:]) * 1000)
-    sim.op_create_entity(type_qids=[rng.choice(corpus.OTHER_TYPES)],
-                         n_statements=2, label=f"Storm {qid}", desc="storm")
-    _, pid, stmt = sim.op_add_statement(kind="string")
-    for _ in range(revisions - 2):
-        sim.op_update_value(pid=pid, stmt=stmt)
-    return sim
-
-
 def _hot_entities(seed: int, p: dict) -> list:
     rng = random.Random(seed)
-    wide = [_hot_entity(f"Q{10 + i}", rng, p["revisions"], p["statements"])
+    return [_hot_entity(f"Q{10 + i}", rng, p["revisions"], p["statements"])
             for i in range(p["entities"])]
-    storms = [_storm_entity(f"Q{10 + p['entities'] + i}", rng,
-                            p["storm_revisions"])
-              for i in range(p["storms"])]
-    return wide + storms
 
 
 _BUILDERS = {"long_tail": _long_tail, "hot_entities": _hot_entities}

@@ -25,49 +25,59 @@ _LT, _HOT = ("long_tail",), ("hot_entities",)
 
 # name: (unit, better, end-to-end metric it should move, on which workloads)
 LAYER_MAP = {
+    "setup.wall_s": ("s", "lower", "setup_s", _ALL),
     "setup.ray_init_s": ("s", "lower", "setup_s", _ALL),
     "setup.warm_s": ("s", "lower", "setup_s", _ALL),
-    "sources.io.list_s": ("s", "lower", "resume_s", _LT),
-    "sources.io.partitions": ("count", "lower", "resume_s", _LT),
-    "pipelines.kg.resume_skipped_ratio": ("ratio", "higher", "resume_s", _LT),
-    "core.values.parse_s": ("s", "lower", "revisions_per_s", _HOT),
-    "core.values.parse_us_per_revision": ("us", "lower", "revisions_per_s",
-                                          _HOT),
-    "core.differ.diff_s": ("s", "lower", "revisions_per_s", _HOT),
-    "core.features.s": ("s", "lower", "revisions_per_s", _HOT),
-    "pipelines.kg.extract.parse_diff_share": ("ratio", "lower",
-                                              "revisions_per_s", _HOT),
-    "core.differ.self_s": ("s", "lower", "docs_per_s", _LT),
-    "core.differ.useful_revision_ratio": ("ratio", "higher", "docs_per_s",
+    "pipelines.kg.run_extraction.wall_s": ("s", "lower", "docs_per_ncpu_s",
+                                           _ALL),
+    "pipelines.kg.resume.wall_s": ("s", "lower", "resume_ncpu_s", _ALL),
+    "pipelines.kg.materialize_graph.wall_s": ("s", "lower", "graph_ncpu_s",
+                                              _ALL),
+    "pipelines.kg.dedup_changes.wall_s": ("s", "lower", "dedup_ncpu_s", _ALL),
+    "sources.io.list_s": ("s", "lower", "resume_ncpu_s", _LT),
+    "sources.io.partitions": ("count", "lower", "resume_ncpu_s", _LT),
+    "pipelines.kg.resume_skipped_ratio": ("ratio", "higher", "resume_ncpu_s",
                                           _LT),
-    "stages.extract.convert_s": ("s", "lower", "docs_per_s", _LT),
-    "stages.extract.write_s": ("s", "lower", "docs_per_s", _LT),
-    "stages.extract.partition_s.p50": ("s", "lower", "docs_per_s", _LT),
-    "stages.extract.partition_s.tail": ("s", "lower", "docs_per_s", _LT),
-    "pipelines.kg.extract_wait_s": ("s", "lower", "docs_per_s", _LT),
-    "pipelines.kg.extract.after_diff_share": ("ratio", "lower", "docs_per_s",
-                                              _LT),
+    "core.values.parse_s": ("s", "lower", "revisions_per_ncpu_s", _HOT),
+    "core.values.parse_us_per_revision": ("us", "lower",
+                                          "revisions_per_ncpu_s", _HOT),
+    "core.differ.diff_s": ("s", "lower", "revisions_per_ncpu_s", _HOT),
+    "core.features.s": ("s", "lower", "revisions_per_ncpu_s", _HOT),
+    "pipelines.kg.extract.parse_diff_share": ("ratio", "lower",
+                                              "revisions_per_ncpu_s", _HOT),
+    "core.differ.self_s": ("s", "lower", "docs_per_ncpu_s", _LT),
+    "core.differ.useful_revision_ratio": ("ratio", "higher", "docs_per_ncpu_s",
+                                          _LT),
+    "stages.extract.convert_s": ("s", "lower", "docs_per_ncpu_s", _LT),
+    "stages.extract.write_s": ("s", "lower", "docs_per_ncpu_s", _LT),
+    "stages.extract.partition_s.p50": ("s", "lower", "docs_per_ncpu_s", _LT),
+    "stages.extract.partition_s.tail": ("s", "lower", "docs_per_ncpu_s", _LT),
+    "pipelines.kg.extract_wait_s": ("s", "lower", "docs_per_ncpu_s", _LT),
+    "pipelines.kg.extract.after_diff_share": ("ratio", "lower",
+                                              "docs_per_ncpu_s", _LT),
     "stages.extract.files_written": ("count", "lower",
                                      "out_bytes_per_in_byte", _ALL),
     "stages.extract.bytes_written": ("bytes", "lower",
                                      "out_bytes_per_in_byte", _ALL),
     "stages.extract.failed_doc_ratio": ("ratio", "lower", "triple_recall",
                                         _ALL),
-    "pipelines.kg.local_last.busy_s": ("s", "lower", "graph_s", _ALL),
-    "pipelines.kg.local_last.collapse_ratio": ("ratio", "lower", "graph_s",
-                                               _HOT),
-    "pipelines.kg.replay.busy_s": ("s", "lower", "graph_s", _ALL),
-    "pipelines.kg.dedup_local.busy_s": ("s", "lower", "dedup_s", _ALL),
-    "pipelines.kg.dedup_bucket.busy_s": ("s", "lower", "dedup_s", _ALL),
-    "stages.distributed.shuffle.busy_s": ("s", "lower", "graph_s", _ALL),
-    "stages.distributed.shuffle.wall_s": ("s", "lower", "graph_s", _ALL),
-    "stages.distributed.shuffle.wait_s": ("s", "lower", "graph_s", _ALL),
-    "stages.distributed.shuffle.wall_share": ("ratio", "lower", "graph_s",
+    "pipelines.kg.local_last.busy_s": ("s", "lower", "graph_ncpu_s", _ALL),
+    "pipelines.kg.local_last.collapse_ratio": ("ratio", "lower",
+                                               "graph_ncpu_s", _HOT),
+    "pipelines.kg.replay.busy_s": ("s", "lower", "graph_ncpu_s", _ALL),
+    "pipelines.kg.dedup_local.busy_s": ("s", "lower", "dedup_ncpu_s", _ALL),
+    "pipelines.kg.dedup_bucket.busy_s": ("s", "lower", "dedup_ncpu_s", _ALL),
+    "stages.distributed.shuffle.busy_s": ("s", "lower", "graph_ncpu_s", _ALL),
+    "stages.distributed.shuffle.wall_s": ("s", "lower", "graph_ncpu_s", _ALL),
+    "stages.distributed.shuffle.wait_s": ("s", "lower", "graph_ncpu_s", _ALL),
+    "stages.distributed.shuffle.wall_share": ("ratio", "lower", "graph_ncpu_s",
                                               _HOT),
-    "stages.distributed.shuffle.rows": ("count", "lower", "dedup_s", _ALL),
-    "stages.distributed.shuffle.bytes": ("bytes", "lower", "dedup_s", _ALL),
-    "stages.distributed.reduce_skew": ("ratio", "lower", "graph_s", _ALL),
-    "ray.spilled_bytes": ("bytes", "lower", "dedup_s", _ALL),
+    "stages.distributed.shuffle.rows": ("count", "lower", "dedup_ncpu_s",
+                                        _ALL),
+    "stages.distributed.shuffle.bytes": ("bytes", "lower", "dedup_ncpu_s",
+                                         _ALL),
+    "stages.distributed.reduce_skew": ("ratio", "lower", "graph_ncpu_s", _ALL),
+    "ray.spilled_bytes": ("bytes", "lower", "dedup_ncpu_s", _ALL),
     "trace.overhead_s": ("s", "lower", None, _ALL),
 }
 

@@ -3,7 +3,8 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload long_tail --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload long_tail --seed 1 --seconds 20 \
+        --trace 0
 
 It drives the public pipeline entry points from outside -- `run_extraction`,
 `materialize_graph` and `dedup_changes` of `pipelines.kg` -- on a local Ray
@@ -19,13 +20,28 @@ workloads.py):
   statements; re-parsing and re-diffing the entity JSON on every revision
   carries the extraction time.
 
-Each iteration of the window runs a fresh `run_extraction` (docs_per_s,
-revisions_per_s), a re-run over the finished directory (resume_s),
-`materialize_graph(...).materialize()` (graph_s) and
-`dedup_changes(...).materialize()` over the table plus re-read duplicates
-(dedup_s). Iterations repeat until --seconds is used up, at least three;
-reported times are medians over iterations. setup_s is the median over
-SETUP_CYCLES `ray.init` + warm-up cycles.
+Each iteration of the window runs a fresh `run_extraction`
+(docs_per_ncpu_s, revisions_per_ncpu_s), a re-run over the finished
+directory (resume_ncpu_s), `materialize_graph(...).materialize()`
+(graph_ncpu_s) and `dedup_changes(...).materialize()` over the table plus
+re-read duplicates (dedup_ncpu_s). Iterations repeat until --seconds is used
+up, at least three; reported times are medians over iterations. setup_s is
+the median over SETUP_CYCLES `ray.init` + warm-up cycles.
+
+Every reported time is in normalized CPU seconds. A block's CPU seconds are
+user plus system time of the benchmark's whole process tree: the driver and
+every process of its Ray session. Wall time also counts the time the
+hypervisor steals and the time other processes hold a CPU. Yet on a shared
+host even CPU time grows when the neighbours are busy, since cores, caches
+and memory bandwidth are shared. So before each timed block the driver
+times a fixed reference work that does not touch the program
+(tracing.reference_cpu_s), and the CPU seconds are scaled by REF_NOMINAL_S
+over the run's mean reading. On a 4-vCPU VM, over ten runs of long_tail
+whose steal ranged from 0.4% to 19%, the run-to-run spread (quartile
+distance over median) of the four timed blocks was 0.13-0.42 for wall time
+and 0.08-0.21 for CPU time; with steal under 5%, normalized times spread
+0.06-0.19 on both workloads. The wall seconds are in the traced run's
+per-layer metrics (`*.wall_s`) and in the report.
 
 Correctness gate, in every iteration: no failed document; value_change keys
 and graph triples each P = R = 1 against the generator; the resume run
@@ -50,6 +66,7 @@ import shutil
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -67,8 +84,8 @@ HARD_STOP_S = 60.0
 OBJECT_STORE_BYTES = 512 * 2**20
 
 E2E_UNITS = {
-    "setup_s": "s", "docs_per_s": "1/s", "revisions_per_s": "1/s",
-    "resume_s": "s", "graph_s": "s", "dedup_s": "s",
+    "setup_s": "s", "docs_per_ncpu_s": "1/s", "revisions_per_ncpu_s": "1/s",
+    "resume_ncpu_s": "s", "graph_ncpu_s": "s", "dedup_ncpu_s": "s",
     "triple_precision": "ratio", "triple_recall": "ratio",
     "out_bytes_per_in_byte": "ratio", "peak_worker_rss_mb": "MB",
 }
@@ -128,6 +145,16 @@ class Bench:
         self.extract_kw = {"sa_types": corpus.SA_TYPES,
                            "ao_types": corpus.AO_TYPES}
 
+    @contextmanager
+    def _timed(self, rec: dict, name: str):
+        """clock(), after a reading of how fast this host runs the reference
+        work right now."""
+        from perfbench.tracing import clock, reference_cpu_s
+
+        rec[f"{name}_ref_cpu_s"] = reference_cpu_s()
+        with clock(rec, name):
+            yield
+
     # ---- Ray session ----
     def _ray_init(self):
         import ray
@@ -157,29 +184,40 @@ class Bench:
             ray._private.worker._global_node.address_info["session_dir"])
 
     def _warm(self, k: int):
-        """First extraction, on a tiny corpus: starts the worker, imports
-        the program into it and starts Ray Data's internal actors. Later
-        extractions in the session run about 3 s faster than this one."""
-        from wikidata_edit_history_ray.pipelines.kg import run_extraction
+        """First extraction, graph replay and dedup, on a tiny corpus:
+        starts the worker, imports the program into it and starts Ray Data's
+        internal actors. Later extractions in the session run about 3 s
+        faster than this one, and a first graph replay or dedup often takes
+        a fifth to a third more CPU than later ones."""
+        import ray.data
+
+        from perfbench import workloads
+        from wikidata_edit_history_ray.pipelines.kg import (dedup_changes,
+                                                            materialize_graph,
+                                                            run_extraction)
 
         out = os.path.join(self.work, f"warm-{k}")
         run_extraction(self.warm_inputs.docs_dir, out, **self.extract_kw)
+        vc = ray.data.read_parquet(os.path.join(out, "value_change"))
+        materialize_graph(vc).materialize()
+        dedup_changes(vc, workloads.DEDUP_PK).materialize()
         shutil.rmtree(out, ignore_errors=True)
 
     def setup(self):
         import ray
 
+        from perfbench.tracing import clock
+
         for k in range(SETUP_CYCLES):
-            with self.tracer.span("setup", cycle=k):
-                t0 = time.perf_counter()
-                with self.tracer.span("setup.ray_init"):
+            rec: dict = {}
+            with self.tracer.span("setup", cycle=k), \
+                    self._timed(rec, "setup"):
+                with self.tracer.span("setup.ray_init"), \
+                        clock(rec, "ray_init"):
                     self._ray_init()
-                t1 = time.perf_counter()
-                with self.tracer.span("setup.warm"):
+                with self.tracer.span("setup.warm"), clock(rec, "warm"):
                     self._warm(k)
-                t2 = time.perf_counter()
-            self.setups.append({"ray_init_s": t1 - t0, "warm_s": t2 - t1,
-                                "setup_s": t2 - t0})
+            self.setups.append(rec)
             if k < SETUP_CYCLES - 1:
                 ray.shutdown()
 
@@ -206,11 +244,10 @@ class Bench:
             rec["sources.io.partitions"] = float(len(specs))
 
         self.attempted += 1
-        with self.tracer.span("pipelines.kg.run_extraction"):
-            t0 = time.perf_counter()
+        with self.tracer.span("pipelines.kg.run_extraction"), \
+                self._timed(rec, "extract"):
             manifest = run_extraction(docs, out, **self.extract_kw)
-            wall = time.perf_counter() - t0
-        rec["extract_s"] = wall
+        wall = rec["extract_s"]
         rows = manifest.take_all()
         errors = sum(json.loads(m["rows_per_table"]).get("errors", 0)
                      for m in rows)
@@ -244,11 +281,10 @@ class Bench:
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         self.attempted += 1
-        with self.tracer.span("pipelines.kg.resume"):
-            t0 = time.perf_counter()
+        with self.tracer.span("pipelines.kg.resume"), \
+                self._timed(rec, "resume"):
             manifest = run_extraction(self.inputs.docs_dir, self.out_dir,
                                       **self.extract_kw)
-            rec["resume_s"] = time.perf_counter() - t0
         rows = manifest.take_all()
         resumed = sum(bool(m["resumed"]) for m in rows)
         after = {f: _sha1(os.path.join(self.out_dir, f))
@@ -270,11 +306,10 @@ class Bench:
 
         vc = ray.data.read_parquet(os.path.join(self.out_dir, "value_change"))
         self.attempted += 1
-        with self.tracer.span("pipelines.kg.materialize_graph"):
-            t0 = time.perf_counter()
+        with self.tracer.span("pipelines.kg.materialize_graph"), \
+                self._timed(rec, "graph"):
             graph = materialize_graph(vc).materialize()
             graph.count()
-            rec["graph_s"] = time.perf_counter() - t0
         t = pa.concat_tables(ray.get(graph.to_arrow_refs()))
         triples = list(zip(t.column("subj").to_pylist(),
                            t.column("pred").to_pylist(),
@@ -301,11 +336,10 @@ class Bench:
         # a partial re-run: every other partition's rows appear twice
         ds = ray.data.read_parquet(files + files[::2])
         self.attempted += 1
-        with self.tracer.span("pipelines.kg.dedup_changes"):
-            t0 = time.perf_counter()
+        with self.tracer.span("pipelines.kg.dedup_changes"), \
+                self._timed(rec, "dedup"):
             deduped = dedup_changes(ds, workloads.DEDUP_PK).materialize()
             n = deduped.count()
-            rec["dedup_s"] = time.perf_counter() - t0
         if traced:
             rec["dedup_ops"] = layers.shuffle_layers(
                 deduped, "drop_local_dupes", "dedup_bucket")
@@ -336,7 +370,8 @@ class Bench:
         t_start = time.perf_counter()
         i = 0
         while True:
-            rec = self.iteration(i, traced=bool(self.args.trace) and i % 2 == 0)
+            rec = self.iteration(i, traced=bool(self.args.trace)
+                                 and i % 2 == 0)
             i += 1
             elapsed = time.perf_counter() - t_start
             if elapsed > HARD_STOP_S:
@@ -346,6 +381,7 @@ class Bench:
 
     # ---- reporting ----
     def end_to_end(self, rss_mb: float) -> dict:
+        from perfbench import tracing
         from perfbench.layers import median
 
         its = self.iterations
@@ -353,14 +389,19 @@ class Bench:
         # value_change keys and graph triples, whichever is worse
         prec = min(min(r["vc_precision"], r["graph_precision"]) for r in its)
         rec = min(min(r["vc_recall"], r["graph_recall"]) for r in its)
+        # CPU seconds -> normalized CPU seconds
+        scale = tracing.REF_NOMINAL_S / self.reference_cpu_s()
+
+        def ncpu(recs, name):
+            return scale * median([r[f"{name}_cpu_s"] for r in recs])
+
         values = {
-            "setup_s": median([s["setup_s"] for s in self.setups]),
-            "docs_per_s": median([meta["docs"] / r["extract_s"] for r in its]),
-            "revisions_per_s": median([meta["text_spans"] / r["extract_s"]
-                                       for r in its]),
-            "resume_s": median([r["resume_s"] for r in its]),
-            "graph_s": median([r["graph_s"] for r in its]),
-            "dedup_s": median([r["dedup_s"] for r in its]),
+            "setup_s": ncpu(self.setups, "setup"),
+            "docs_per_ncpu_s": meta["docs"] / ncpu(its, "extract"),
+            "revisions_per_ncpu_s": meta["text_spans"] / ncpu(its, "extract"),
+            "resume_ncpu_s": ncpu(its, "resume"),
+            "graph_ncpu_s": ncpu(its, "graph"),
+            "dedup_ncpu_s": ncpu(its, "dedup"),
             "triple_precision": prec,
             "triple_recall": rec,
             "out_bytes_per_in_byte": median(
@@ -370,14 +411,31 @@ class Bench:
         return {k: {"value": v, "unit": E2E_UNITS[k]}
                 for k, v in values.items()}
 
+    def reference_cpu_s(self) -> float:
+        """Mean of the run's readings of the reference work: the timed
+        blocks' CPU seconds add up over the host's fast and slow spells, and
+        so do these."""
+        refs = [v for r in self.setups + self.iterations
+                for k, v in r.items() if k.endswith("_ref_cpu_s")]
+        return sum(refs) / len(refs) if refs else 0.0
+
     def per_layer(self) -> dict:
         from perfbench import layers
         from perfbench.layers import median
 
         traced = [r for r in self.iterations if r["traced"]]
+        its = self.iterations
         values = {
+            "setup.wall_s": median([s["setup_s"] for s in self.setups]),
             "setup.ray_init_s": median([s["ray_init_s"] for s in self.setups]),
             "setup.warm_s": median([s["warm_s"] for s in self.setups]),
+            "pipelines.kg.run_extraction.wall_s":
+                median([r["extract_s"] for r in its]),
+            "pipelines.kg.resume.wall_s": median([r["resume_s"] for r in its]),
+            "pipelines.kg.materialize_graph.wall_s":
+                median([r["graph_s"] for r in its]),
+            "pipelines.kg.dedup_changes.wall_s":
+                median([r["dedup_s"] for r in its]),
         }
         for key in ("sources.io.list_s", "sources.io.partitions",
                     "core.values.parse_s", "core.values.parse_us_per_revision",
@@ -445,8 +503,7 @@ class Bench:
         # traced minus untraced iteration wall
         values["trace.overhead_s"] = (
             median([r["wall_s"] for r in traced])
-            - median([r["wall_s"] for r in self.iterations
-                      if not r["traced"]]))
+            - median([r["wall_s"] for r in its if not r["traced"]]))
         return {k: {"value": float(v), "unit": layers.LAYER_MAP[k][0]}
                 for k, v in values.items()}, tail_pct
 
@@ -491,6 +548,7 @@ class Bench:
         result["failed"] = self.failed
         if not result["correct"]:
             result["metrics"] = {}
+        report["reference_cpu_s"] = self.reference_cpu_s()
         report.update(setups=self.setups, iterations=[
             {k: v for k, v in r.items() if not k.startswith("_")}
             for r in self.iterations], host=weather.stamp(), result=result)

@@ -1,14 +1,67 @@
-"""In-memory span tracer and host probes for the benchmark.
+"""In-memory span tracer, the benchmark's clock, and host probes.
 
 Spans are recorded by the benchmark around each call into a layer of the
 program (name, start, end, parent) and written out once, when the run ends.
 A span's self time is its duration minus the part of it its children cover.
+The clock times a block in wall seconds and in CPU seconds of the
+benchmark's process tree; the reference work tells how fast the host runs a
+fixed load right now.
 """
 from __future__ import annotations
 
+import gc
+import hashlib
+import json
 import os
 import time
 from contextlib import contextmanager
+
+
+@contextmanager
+def clock(rec: dict, name: str):
+    """Times the block: `rec[name + "_s"]` gets its wall seconds and
+    `rec[name + "_cpu_s"]` the CPU seconds the process tree used in it
+    (tree_cpu_ticks)."""
+    c0 = tree_cpu_ticks()
+    t0 = time.perf_counter()
+    yield
+    rec[f"{name}_s"] = time.perf_counter() - t0
+    rec[f"{name}_cpu_s"] = (tree_cpu_ticks() - c0) / _TICKS_PER_S
+
+
+# The reference work: a fixed load that does not touch the program, in the
+# style of its hot loop (parse an entity's JSON, walk its claims, hash the
+# text, dump it again).
+_REF_TEXT = json.dumps({"claims": {
+    f"P{i}": [{"id": f"Q{i}${j}", "value": {"amount": str(i * j), "unit": "1"}}
+              for j in range(4)]
+    for i in range(300)}})
+# Normalized CPU seconds are CPU seconds scaled to a host on which one pass
+# of the reference work takes this long (about what an idle 4-vCPU VM gives).
+REF_NOMINAL_S = 0.012
+
+
+def reference_cpu_s(reps: int = 5) -> float:
+    """Thread CPU seconds of one pass of the reference work, the mean of
+    `reps` passes. The cyclic garbage collector is off meanwhile: a full
+    collection walks the driver's whole heap and, when it fell inside a
+    reading, doubled it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c0 = time.thread_time()
+        for _ in range(4 * reps):
+            doc = json.loads(_REF_TEXT)
+            n = 0
+            for values in doc["claims"].values():
+                for v in values:
+                    n += len(v["id"]) + int(v["value"]["amount"])
+            hashlib.sha1(_REF_TEXT.encode()).digest()
+            json.dumps(doc)
+        return (time.thread_time() - c0) / reps
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Tracer:
@@ -86,6 +139,38 @@ def nproc() -> int:
         except (KeyError, ValueError):
             pass
     return max(n, 1)
+
+
+_TICKS_PER_S = os.sysconf("SC_CLK_TCK")
+
+
+def tree_cpu_ticks() -> int:
+    """CPU clock ticks, user plus system, used so far by this process and
+    every process under it -- the benchmark's driver and the Ray session it
+    started -- counting reaped children too. Time a process spends waiting
+    for a CPU is not in it."""
+    parent, ticks = {}, {}
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue
+        # fields after "(comm)": state ppid ... utime stime cutime cstime
+        fields = stat[stat.rindex(")") + 2:].split()
+        parent[int(pid)] = int(fields[1])
+        ticks[int(pid)] = sum(int(x) for x in fields[11:15])
+    children: dict[int, list] = {}
+    for pid, ppid in parent.items():
+        children.setdefault(ppid, []).append(pid)
+    total, todo = 0, [os.getpid()]
+    while todo:
+        pid = todo.pop()
+        total += ticks.get(pid, 0)
+        todo.extend(children.get(pid, ()))
+    return total
 
 
 def _cpu_ticks() -> tuple:

@@ -38,6 +38,29 @@ def _corpus_docs_for(sf_dir: str) -> int:
     return max(100, int(200_000 * scale))
 
 
+def _corpus_params(n: int) -> dict:
+    """write_corpus_parquet keyword arguments for an n-doc corpus."""
+    return {"num_docs": n, "seed": 42, "hot_doc_revisions": 1000,
+            "hot_doc_every": max(10, n // 10)}
+
+
+def _corpus_cache_name(n: int) -> str:
+    """Cache directory name for an n-doc corpus, keyed by the generator
+    parameters, the seed and a hash of the generator's source, so a generator
+    change never silently reuses stale shards or expectation files."""
+    import hashlib
+    import json
+
+    from wikidata_edit_history_ray.sources import corpus
+
+    with open(corpus.__file__, "rb") as f:
+        source = hashlib.sha1(f.read()).hexdigest()
+    key = hashlib.sha1(
+        f"{json.dumps(_corpus_params(n), sort_keys=True)}|{source}".encode()
+    ).hexdigest()[:16]
+    return f"docs_{n}_sharded_{key}"
+
+
 def _corpus_path(sf_dir: str, n: int | None = None) -> str:
     """Generate (once) and cache the synthetic interleaved-doc corpus for a
     scale tier, together with its construction-time ground-truth expectation
@@ -49,15 +72,16 @@ def _corpus_path(sf_dir: str, n: int | None = None) -> str:
     if n is None:
         n = _corpus_docs_for(sf_dir)
     os.makedirs(_CACHE_DIR, exist_ok=True)
-    path = os.path.join(_CACHE_DIR, f"docs_{n}_sharded_v3")
+    path = os.path.join(_CACHE_DIR, _corpus_cache_name(n))
     expect = path + "_expect"
     if not (os.path.exists(path) and os.path.isdir(expect)):
         tmp, tmpe = path + ".tmp", expect + ".tmp"
         for p in (tmp, tmpe):
             if os.path.exists(p):
                 shutil.rmtree(p, ignore_errors=True)
-        write_corpus_parquet(tmp, n, seed=42, hot_doc_revisions=1000,
-                             hot_doc_every=max(10, n // 10), expect_dir=tmpe)
+        params = _corpus_params(n)
+        write_corpus_parquet(tmp, params.pop("num_docs"), expect_dir=tmpe,
+                             **params)
         os.replace(tmpe, expect)
         os.replace(tmp, path)
     return path

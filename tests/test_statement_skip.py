@@ -140,7 +140,27 @@ def removed_and_readded():
     return sim
 
 
+def deeply_nested():
+    """A qualifier value nested deeper than orjson serializes (255 levels)."""
+    sim = _sim()
+    deep = "x"
+    for _ in range(300):
+        deep = [deep]
+    s = _stmt(sim, "P1", _qty("+5"), qualifiers={"P9": [
+        sim.make_qualifier("P9", {"value": deep, "type": "string"})]})
+    t = _stmt(sim, "P2", {"value": "a", "type": "string"})
+    sim.claims = {"P1": [s], "P2": [t]}
+    sim.snapshot_revision()
+    for value in ("b", "c"):
+        t["mainsnak"]["datavalue"] = {"value": value, "type": "string"}
+        sim.snapshot_revision()
+    s["rank"] = "preferred"
+    sim.snapshot_revision()
+    return sim
+
+
 CASES = {
+    "deeply_nested": deeply_nested,
     "number_flips": number_flips,
     "keys_reordered": keys_reordered,
     "rank_only": rank_only,
@@ -176,6 +196,20 @@ def run(sim):
 # (value_change rows, qualifier_change rows, digest of every table), as the
 # differ emitted them before the unchanged-statement skip
 EXPECTED = {
+    "deeply_nested": (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"+5"', '', 'wdh27428'),
+            (1, 2, '0002', '', 'CREATE', '{}', '"a"', '', 'wdh79648'),
+            (2, 2, '0002', '', 'UPDATE', '"a"', '"b"', 'c9fef5dc', 'dc770452'),
+            (3, 2, '0002', '', 'UPDATE', '"b"', '"c"', 'dc770452', '5892d97c'),
+            (4, 1, '0001', 'rank', 'UPDATE', '"normal"', '"preferred"', '404a12cc', '404a12cc'),
+        ],
+        [
+            (1, '0001', 9, 'CREATE', '{}', '[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[["x"]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]', '9327cfb2'),
+        ],
+        "395d7443893e7705",
+    ),
     "keys_reordered": (
         [
             (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),

@@ -23,6 +23,9 @@ Known deliberate divergences (documented, all crash paths in the reference):
 - cross-datatype metadata pairing iterates keys in insertion order (reference
   iterates Python sets, whose order is salted per process — the reference is
   not deterministic across runs; we pin a deterministic order).
+- for the same reason, property, statement, qualifier and reference ids are
+  visited in snapshot order, so the row order of every table is the same in
+  every process (the rows themselves are unchanged).
 - same-datatype metadata diff guards calendarmodel/unit Q-id trimming against a
   missing key in the new snapshot (reference raises AttributeError on None).
 """
@@ -33,6 +36,8 @@ import json
 import re
 import time
 from collections import defaultdict
+
+import orjson
 
 from . import features as F
 from .constants import (
@@ -58,7 +63,7 @@ from .values import (
     get_time_feature,
     homogenize_snak,
     id_to_int,
-    parse_revision_text,
+    load_json,
     parse_snak_datavalue,
     parse_statement_datavalue,
     safe_get_nested,
@@ -216,6 +221,10 @@ class PageDiffer:
         self.redirect_qid = ""
         self.rev_meta = {}
         self._stmt_hash_cache = {}
+        # statement id -> (statement object, its raw orjson bytes taken
+        # before homogenize_snak rewrote it); see _unchanged_raw
+        self._raw_stmts = {}
+        self._snapshot_exact = False  # load_json's flag for the current snapshot
         self.entity_data = {
             "label": "", "alias": "", "description": "",
             "p31_types": set(), "p279_types": set(),
@@ -251,7 +260,9 @@ class PageDiffer:
         full snapshot, so every unchanged statement would otherwise pay
         json.dumps+sha1 again in every revision diff (the differ's dominant
         allocation churn). novalue/somevalue snaks (no datavalue) bypass the
-        cache — their identity is the upstream hash, which may drift."""
+        cache — their identity is the upstream hash, which may drift. The
+        equality test shows in the output: an amount going 1 -> 1.0 keeps
+        the first hash and emits no row (tests/test_statement_skip.py)."""
         dv = hom_mainsnak.get("datavalue")
         if dv is None or sid is None:
             return snak_value_hash(hom_mainsnak)
@@ -452,29 +463,35 @@ class PageDiffer:
         curr = curr_stmt.get("qualifiers", {}) if curr_stmt else {}
         if not prev and not curr:
             return False
-        change_detected = False
-        for pid in set(prev.keys()).union(curr.keys()):
-            def build(snaks):
-                # dedup by canonical hash: duplicate values collapse
-                m = {}
-                for snak in snaks:
-                    snak = homogenize_snak(snak)
-                    h = self._snak_hash(snak)
-                    snak["hash"] = h
-                    m[h] = snak
-                return m
 
+        def build(snaks):
+            # dedup by canonical hash: duplicate values collapse
+            m = {}
+            for snak in snaks:
+                snak = homogenize_snak(snak)
+                h = self._snak_hash(snak)
+                snak["hash"] = h
+                m[h] = snak
+            return m
+
+        change_detected = False
+        # snapshot order (never set order, which PYTHONHASHSEED salts)
+        for pid in dict.fromkeys([*prev, *curr]):
             prev_map = build(prev.get(pid, []))
             curr_map = build(curr.get(pid, []))
-            for h in set(prev_map) - set(curr_map):
+            for h, snak in prev_map.items():
+                if h in curr_map:
+                    continue
                 change_detected = True
-                val, dtype, _ = parse_snak_datavalue(prev_map[h])
+                val, dtype, _ = parse_snak_datavalue(snak)
                 self._save_qualifier_change(
                     id_to_int(stmt_pid), stmt_value_id, id_to_int(pid), h,
                     val, None, dtype, None, "", DELETE_QUALIFIER_VALUE)
-            for h in set(curr_map) - set(prev_map):
+            for h, snak in curr_map.items():
+                if h in prev_map:
+                    continue
                 change_detected = True
-                val, dtype, _ = parse_snak_datavalue(curr_map[h])
+                val, dtype, _ = parse_snak_datavalue(snak)
                 self._save_qualifier_change(
                     id_to_int(stmt_pid), stmt_value_id, id_to_int(pid), h,
                     None, val, None, dtype, "", CREATE_QUALIFIER_VALUE)
@@ -512,15 +529,19 @@ class PageDiffer:
         prev_map = build(prev_refs)
         curr_map = build(curr_refs)
         change_detected = False
-        for (ref_hash, pid, value_hash) in set(prev_map) - set(curr_map):
+        for (ref_hash, pid, value_hash), snak in prev_map.items():
+            if (ref_hash, pid, value_hash) in curr_map:
+                continue
             change_detected = True
-            val, dtype, _ = parse_snak_datavalue(prev_map[(ref_hash, pid, value_hash)])
+            val, dtype, _ = parse_snak_datavalue(snak)
             self._save_reference_change(
                 id_to_int(stmt_pid), stmt_value_id, id_to_int(pid), ref_hash,
                 value_hash, val, None, dtype, None, "", DELETE_REFERENCE_VALUE)
-        for (ref_hash, pid, value_hash) in set(curr_map) - set(prev_map):
+        for (ref_hash, pid, value_hash), snak in curr_map.items():
+            if (ref_hash, pid, value_hash) in prev_map:
+                continue
             change_detected = True
-            val, dtype, _ = parse_snak_datavalue(curr_map[(ref_hash, pid, value_hash)])
+            val, dtype, _ = parse_snak_datavalue(snak)
             self._save_reference_change(
                 id_to_int(stmt_pid), stmt_value_id, id_to_int(pid), ref_hash,
                 value_hash, None, val, None, dtype, "", CREATE_REFERENCE_VALUE)
@@ -760,14 +781,39 @@ class PageDiffer:
                 self._handle_qualifier_changes(pid, value_id, s, None)
                 self._handle_reference_changes(pid, value_id, s, None)
 
+    def _unchanged_raw(self, sid, prev_stmt, curr_stmt):
+        """True when curr_stmt is byte-identical to the raw form prev_stmt
+        had when it was parsed; such a statement yields no row, so the diff
+        skips its homogenize, hash, rank, qualifier and reference work.
+        Records curr_stmt's raw bytes for the next revision, so call it
+        before homogenize_snak rewrites curr_stmt.
+
+        The cached bytes count only if they were taken from the very object
+        that is now prev_stmt: a no-change revision does not advance
+        previous_revision. Bytes, not ==, because 1 == 1.0 == True hides
+        changes the value hash sees. Callers pass only statements of an
+        `exact` snapshot (values.load_json), whose bytes are injective."""
+        try:
+            curr_raw = orjson.dumps(curr_stmt)
+        except orjson.JSONEncodeError:  # nested deeper than orjson allows
+            return False
+        cached = self._raw_stmts.get(sid)
+        self._raw_stmts[sid] = (curr_stmt, curr_raw)
+        return (cached is not None and cached[0] is prev_stmt
+                and cached[1] == curr_raw)
+
     def _handle_remaining_pids(self, remaining_pids, prev_claims, curr_claims):
         change_detected = False
+        exact = self._snapshot_exact
         for pid in remaining_pids:
             prev_by_id = {stmt["id"]: stmt for stmt in prev_claims.get(pid, [])}
             curr_by_id = {stmt["id"]: stmt for stmt in curr_claims.get(pid, [])}
-            for sid in set(prev_by_id).union(curr_by_id):
+            for sid in dict.fromkeys([*prev_by_id, *curr_by_id]):
                 prev_stmt = prev_by_id.get(sid)
                 curr_stmt = curr_by_id.get(sid)
+                if curr_stmt and exact and self._unchanged_raw(
+                        sid, prev_stmt, curr_stmt):
+                    continue
                 old_hash = new_hash = None
                 if prev_stmt:
                     prev_stmt["mainsnak"] = homogenize_snak(prev_stmt["mainsnak"])
@@ -877,17 +923,16 @@ class PageDiffer:
 
         change_detected = self._handle_description_label_change(previous_revision, current_revision)
         prev_claims = safe_get_nested(previous_revision, "claims")
-        prev_pids = set(prev_claims.keys())
-        curr_pids = set(curr_claims.keys())
-        new_pids = curr_pids - prev_pids
+        # property ids in snapshot order, so the row order is deterministic
+        new_pids = [p for p in curr_claims if p not in prev_claims]
         if new_pids:
             change_detected = True
             self._handle_new_pids(new_pids, curr_claims)
-        removed_pids = prev_pids - curr_pids
+        removed_pids = [p for p in prev_claims if p not in curr_claims]
         if removed_pids:
             change_detected = True
             self._handle_removed_pids(removed_pids, prev_claims)
-        remaining = prev_pids & curr_pids
+        remaining = [p for p in prev_claims if p in curr_claims]
         if remaining:
             change_detected = self._handle_remaining_pids(remaining, prev_claims, curr_claims) or change_detected
         return change_detected
@@ -923,7 +968,7 @@ class PageDiffer:
             if (span.get("kind") or "") != "text":
                 continue
             try:
-                envelope = json.loads(span["text"])
+                envelope, exact = load_json(span["text"])
             except (json.JSONDecodeError, TypeError):
                 continue  # malformed envelope: poison span, skip
             if envelope.get("deleted", False):
@@ -940,7 +985,7 @@ class PageDiffer:
                 raw_text = ""
             else:
                 t_parse = time.perf_counter()
-                current_revision = parse_revision_text(raw_text)
+                current_revision, exact = load_json(raw_text, clean=True)
                 self.stats["total_xml_parse_time_sec"] += time.perf_counter() - t_parse
 
             self.rev_meta = {
@@ -966,6 +1011,7 @@ class PageDiffer:
                     self.entity_data["description"] = curr_desc
                 if curr_alias and self.entity_data["alias"] != curr_alias:
                     self.entity_data["alias"] = curr_alias
+                self._snapshot_exact = exact
                 t_diff = time.perf_counter()
                 change = self._get_changes_from_revisions(current_revision, previous_revision)
                 self.stats["total_revision_diff_time_sec"] += time.perf_counter() - t_diff

@@ -15,6 +15,8 @@ import html
 import json
 import re
 
+import orjson
+
 from .constants import (
     DATAVALUE_IGNORED_FIELDS,
     NO_VALUE,
@@ -24,17 +26,47 @@ from .constants import (
 
 _CTRL_CHARS_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _TIME_LEADING_ZEROS_RE = re.compile(r"^([+-])0*(\d+)")
-_SMART_QUOTES = {ord("“"): '"', ord("”"): '"', ord("„"): '"', ord("‟"): '"'}
+_SMART_QUOTE_CHARS = "“”„‟"
+_SMART_QUOTES = {ord(q): '"' for q in _SMART_QUOTE_CHARS}
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_LONG_DIGIT_RUN = b"0" * 19
 
 
-def parse_revision_text(raw_text: str):
-    """Recover the entity-JSON snapshot from a raw revision body.
+def load_json(text, clean: bool = False):
+    """Parse JSON exactly as the stdlib path does, through orjson when it can.
 
-    Two-stage recovery: (1) html-unescape + smart-quote normalization +
-    control-char strip, (2) plain parse of the stripped original. Returns the
-    parsed object or None when both stages fail (caller skips the revision and
-    must NOT advance the previous-revision pointer).
+    Returns (obj, exact). The stdlib path is `json.loads`, or with `clean`
+    the two-stage revision-text recovery of `parse_revision_text`. orjson
+    runs only when its result cannot differ: no run of 19 or more digits
+    (orjson silently turns an integer outside the 64-bit range into a float)
+    and, with `clean`, nothing the cleanup would change (no '&' and no smart
+    quote; a control character makes orjson raise). On any orjson error the
+    stdlib path runs, which covers NaN, Infinity, 1e400 and lone surrogates.
+    `exact` is True when orjson produced the object: it then holds no NaN,
+    no infinity and no integer beyond 64 bits, so `orjson.dumps` of any part
+    of it is injective (NaN and infinity would dump as null).
+
+    One known divergence: nesting deeper than the interpreter's recursion
+    limit (~1,000 levels) parses here, where the stdlib raised RecursionError.
     """
+    if type(text) is str and _orjson_reads_exactly(text, clean):
+        try:
+            return orjson.loads(text), True
+        except orjson.JSONDecodeError:
+            pass
+    return (_recover_revision_text(text) if clean else json.loads(text)), False
+
+
+def _orjson_reads_exactly(text: str, clean: bool) -> bool:
+    if clean and ("&" in text or (not text.isascii() and any(
+            q in text for q in _SMART_QUOTE_CHARS))):
+        return False
+    # a digit-run scan with a regex costs ~20x this translate + find
+    return text.encode("utf-8", "surrogatepass").translate(
+        _DIGITS_TO_ZERO).find(_LONG_DIGIT_RUN) < 0
+
+
+def _recover_revision_text(raw_text):
     if raw_text is None:
         return None
     try:
@@ -47,6 +79,17 @@ def parse_revision_text(raw_text: str):
         return json.loads(raw_text.strip())
     except json.JSONDecodeError:
         return None
+
+
+def parse_revision_text(raw_text: str):
+    """Recover the entity-JSON snapshot from a raw revision body.
+
+    Two-stage recovery: (1) html-unescape + smart-quote normalization +
+    control-char strip, (2) plain parse of the stripped original. Returns the
+    parsed object or None when both stages fail (caller skips the revision and
+    must NOT advance the previous-revision pointer).
+    """
+    return load_json(raw_text, clean=True)[0]
 
 
 def split_change_type(change_type):

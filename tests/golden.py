@@ -27,8 +27,8 @@ from wikidata_edit_history_ray.sources.corpus import EntitySim  # noqa: E402
 
 
 def _multi_edit(sim: EntitySim, rng: random.Random, n: int):
-    """One revision that updates values, ranks and qualifiers of several
-    statements at once (EntitySim ops change one thing per revision)."""
+    """One revision that changes values, ranks, qualifiers and references of
+    several statements at once (EntitySim ops change one thing per revision)."""
     stmts = [s for p, ss in sim.claims.items() if p != "P31" for s in ss]
     for s in rng.sample(stmts, min(n, len(stmts))):
         what = rng.random()

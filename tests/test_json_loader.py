@@ -60,6 +60,21 @@ CASES = {
     "i64_min": '[-9223372036854775808]',
     "long_fraction": '[1.23456789012345678901234]',
     "digit_run_in_string": '{"a": "12345678901234567890"}',
+    "digit_run_in_hex_hash": '{"hash": "a1234567890123456789012bcdef0123456789ab"}',
+    "hex_hash_starting_with_digit_run":
+        '{"hash": "1234567890123456789012abcdef0123456789ab"}',
+    "digit_run_after_space_in_string": '{"a": "x 12345678901234567890"}',
+    "top_level_long_int": '99999999999999999999',
+    "long_int_after_comma": '[1,99999999999999999999]',
+    "long_int_after_space": '[1, 99999999999999999999]',
+    "long_int_after_newline": '[1,\n99999999999999999999]',
+    "long_int_after_tab": '[1,\t99999999999999999999]',
+    "long_int_after_cr": '[1,\r99999999999999999999]',
+    "long_int_after_colon": '{"a":99999999999999999999}',
+    "negative_long_int_after_colon": '{"a":-12345678901234567890}',
+    "long_int_part_of_float": '[12345678901234567890.5, 1e0000000000000000000001]',
+    "escaped_long_int": '{&quot;a&quot;:99999999999999999999}',
+    "control_char_joins_digits": '[9999999999\x019999999999]',
     "lone_surrogate": '{"a": "\\ud800"}',
     "surrogate_pair": '{"a": "\\ud83d\\ude00"}',
     "html_escaped": '{&quot;a&quot;: 1}',
@@ -89,28 +104,46 @@ def test_table(name):
     assert_same(CASES[name])
 
 
+_HASH_WITH_RUN = "a1234567890123456789012bcdef0123456789ab"
+
+
 @pytest.mark.parametrize("text, exact", [
     ('{"a": [1, 2.5, "x"]}', True),
     ('{"a": NaN}', False),
     ('[1e400]', False),
     ('[123456789012345678901234567890]', False),
+    ('[1, 1234567890123456789]', False),
+    ('1234567890123456789', False),
+    ('{"a":-1234567890123456789}', False),
     ('{"a": "\\ud800"}', False),
+    ('{"hash": "%s"}' % _HASH_WITH_RUN, True),
+    ('{"a": 123456789012345678, "b": "%s"}' % _HASH_WITH_RUN, True),
 ])
 def test_exact_flag(text, exact):
     assert load_json(text)[1] is exact
     assert load_json(text, clean=True)[1] is exact
 
 
-def test_exact_flag_false_when_cleanup_applies():
-    assert load_json('{"a": "&amp;"}')[1] is True
-    assert load_json('{"a": "&amp;"}', clean=True)[1] is False
+@pytest.mark.parametrize("text", [
+    '{&quot;a&quot;: &quot;x &amp;amp; y&quot;}',
+    '{“a”: 1}',
+    '{"a": "x\x01y"}',
+    '{"a":\x0b1}',
+    '\xa0{"a": 1}\xa0',
+])
+def test_exact_after_cleanup(text):
+    """A snapshot the cleanup changes still parses through orjson."""
+    assert load_json(text, clean=True)[1] is True
 
 
 _scalars = (st.none() | st.booleans()
             | st.integers(min_value=-2**70, max_value=2**70)
             | st.floats(allow_nan=True, allow_infinity=True)
             | st.text(st.characters(blacklist_categories=()), max_size=8)
-            | st.sampled_from(["&amp;", "&lt;x&gt;", "“q”", "a\x01b", "&#", "&"]))
+            | st.sampled_from(["&amp;", "&lt;x&gt;", "“q”", "a\x01b", "&#", "&"])
+            | st.builds("{}{}{}".format,  # a hash holding a long digit run
+                        st.text("0123456789abcdef", max_size=12),
+                        st.integers(10**18, 10**25), st.text("abcdef", max_size=8)))
 _values = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=4)

@@ -159,7 +159,71 @@ def deeply_nested():
     return sim
 
 
+def _five_statements(sim):
+    """Five statements over three properties, with a qualifier and a
+    reference, for the cases that count skipped statements."""
+    s = _stmt(sim, "P1", _qty("+5"), qualifiers={"P9": [
+        sim.make_qualifier("P9", {"value": "a & b", "type": "string"})]})
+    s["references"] = [sim.make_reference([("P143", sim.rand_entity_value("Q8"))])]
+    t = _stmt(sim, "P1", {"value": 'say "<hi>" &amp; go', "type": "string"})
+    u = _stmt(sim, "P2", sim.rand_entity_value("Q5"))
+    v = _stmt(sim, "P2", {"value": "x", "type": "string"})
+    w = _stmt(sim, "P3", _qty(7))
+    sim.claims = {"P1": [s, t], "P2": [u, v], "P3": [w]}
+    return s, t, u, v, w
+
+
+def _edit_one_at_a_time(sim, s, t, v, **kw):
+    """Six revisions; after the first, each changes one statement."""
+    sim.snapshot_revision(**kw)
+    t["mainsnak"]["datavalue"] = {"value": "Tom & Jerry", "type": "string"}
+    sim.snapshot_revision(**kw)
+    v["rank"] = "preferred"
+    sim.snapshot_revision(**kw)
+    sim.snapshot_revision(**kw)  # no change
+    s["qualifiers"]["P9"][0]["datavalue"]["value"] = "a &lt; b"
+    sim.snapshot_revision(**kw)
+    s["references"][0]["snaks"]["P143"][0]["datavalue"] = sim.rand_entity_value("Q9")
+    sim.snapshot_revision(**kw)
+
+
+def escaped_snapshots():
+    """Every snapshot body is HTML-escaped, as in the XML dump's <text>."""
+    sim = _sim()
+    s, t, _, v, _ = _five_statements(sim)
+    _edit_one_at_a_time(sim, s, t, v, escape=True)
+    return sim
+
+
+def _hex_hash(i, at):
+    """A 40-hex hash holding a 19-digit run at offset `at`."""
+    h = hashlib.sha1(str(i).encode()).hexdigest()
+    return h[:at] + "1234567890123456789" + h[at + 19:]
+
+
+def hashes_with_digit_runs():
+    """Snak and reference hashes are 40-hex strings with 19-digit runs."""
+    sim = _sim()
+    stmts = _five_statements(sim)
+    s, t, _, v, _ = stmts
+    for i, stmt in enumerate(stmts):
+        stmt["mainsnak"]["hash"] = _hex_hash(i, at=i * 5)
+    s["qualifiers"]["P9"][0]["hash"] = _hex_hash(10, at=0)
+    s["references"][0]["hash"] = _hex_hash(11, at=21)
+    s["references"][0]["snaks"]["P143"][0]["hash"] = _hex_hash(12, at=3)
+    _edit_one_at_a_time(sim, s, t, v)
+    return sim
+
+
+# statements the differ skips as unchanged, per diffed revision: none in the
+# second (nothing cached yet), 4 of 5 in the third, all 5 in the no-change
+# fourth, none in the fifth (the fourth was not stored, so the cached bytes
+# belong to objects that are not the previous revision's) and 4 in the sixth
+SKIPS = {"escaped_snapshots": 4 + 5 + 4, "hashes_with_digit_runs": 4 + 5 + 4}
+
 CASES = {
+    "escaped_snapshots": escaped_snapshots,
+    "hashes_with_digit_runs": hashes_with_digit_runs,
     "deeply_nested": deeply_nested,
     "number_flips": number_flips,
     "keys_reordered": keys_reordered,
@@ -196,6 +260,42 @@ def run(sim):
 # (value_change rows, qualifier_change rows, digest of every table), as the
 # differ emitted them before the unchanged-statement skip
 EXPECTED = {
+    "escaped_snapshots": (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"+5"', '', 'wdh27428'),
+            (1, 1, '0002', '', 'CREATE', '{}', '"say \\"<hi>\\" &amp; go"', '', 'wdh85383'),
+            (1, 2, '0003', '', 'CREATE', '{}', '"Q5"', '', 'wdh74136'),
+            (1, 2, '0004', '', 'CREATE', '{}', '"x"', '', 'wdh90356'),
+            (1, 3, '0005', '', 'CREATE', '{}', '7', '', 'wdh79446'),
+            (2, 1, '0002', '', 'UPDATE', '"say \\"<hi>\\" &amp; go"', '"Tom & Jerry"', '7af1f944', '167dde7b'),
+            (3, 2, '0004', 'rank', 'UPDATE', '"normal"', '"preferred"', 'b7590a14', 'b7590a14'),
+        ],
+        [
+            (1, '0001', 9, 'CREATE', '{}', '"a & b"', '480cc46b'),
+            (5, '0001', 9, 'CREATE', '{}', '"a &lt; b"', '74d39d25'),
+            (5, '0001', 9, 'DELETE', '"a & b"', '{}', '480cc46b'),
+        ],
+        "6f3068424389510f",
+    ),
+    "hashes_with_digit_runs": (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"+5"', '', '12345678'),
+            (1, 1, '0002', '', 'CREATE', '{}', '"say \\"<hi>\\" & go"', '', '356a1123'),
+            (1, 2, '0003', '', 'CREATE', '{}', '"Q5"', '', 'da4b9237'),
+            (1, 2, '0004', '', 'CREATE', '{}', '"x"', '', '77de68da'),
+            (1, 3, '0005', '', 'CREATE', '{}', '7', '', '1b645389'),
+            (2, 1, '0002', '', 'UPDATE', '"say \\"<hi>\\" & go"', '"Tom & Jerry"', '93e06744', '167dde7b'),
+            (3, 2, '0004', 'rank', 'UPDATE', '"normal"', '"preferred"', 'b7590a14', 'b7590a14'),
+        ],
+        [
+            (1, '0001', 9, 'CREATE', '{}', '"a & b"', '480cc46b'),
+            (5, '0001', 9, 'CREATE', '{}', '"a < b"', 'd2be945c'),
+            (5, '0001', 9, 'DELETE', '"a & b"', '{}', '480cc46b'),
+        ],
+        "8a90a905283f01c2",
+    ),
     "deeply_nested": (
         [
             (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
@@ -306,3 +406,18 @@ def test_rows_unchanged(case):
     assert qual_rows == exp_quals
     assert digest == exp_digest
 
+
+
+@pytest.mark.parametrize("case", sorted(SKIPS))
+def test_skip_fires(case, monkeypatch):
+    skipped = []
+    unchanged_raw = PageDiffer._unchanged_raw
+
+    def spy(self, sid, prev_stmt, curr_stmt):
+        hit = unchanged_raw(self, sid, prev_stmt, curr_stmt)
+        skipped.extend([sid] if hit else [])
+        return hit
+
+    monkeypatch.setattr(PageDiffer, "_unchanged_raw", spy)
+    run(CASES[case]())
+    assert len(skipped) == SKIPS[case]

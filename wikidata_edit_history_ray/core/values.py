@@ -28,42 +28,74 @@ _CTRL_CHARS_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _TIME_LEADING_ZEROS_RE = re.compile(r"^([+-])0*(\d+)")
 _SMART_QUOTE_CHARS = "“”„‟"
 _SMART_QUOTES = {ord(q): '"' for q in _SMART_QUOTE_CHARS}
-_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
-_LONG_DIGIT_RUN = b"0" * 19
+# bytes.translate table for the guard in _number_guard: control chars the
+# cleanup strips -> \x00; bytes a number's leading digit can follow (JSON
+# whitespace, ':', ',', '[', '-') -> \x01; digits -> '0'
+_CTRL_BYTES = bytes([*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20)])
+_NUMBER_LEAD_BYTES = b" \t\n\r:,[-"
+_GUARD_TABLE = bytes.maketrans(
+    _CTRL_BYTES + _NUMBER_LEAD_BYTES + b"123456789",
+    b"\x00" * len(_CTRL_BYTES) + b"\x01" * len(_NUMBER_LEAD_BYTES)
+    + b"0" * 9)
+_LONG_INT = b"0" * 19
 
 
 def load_json(text, clean: bool = False):
     """Parse JSON exactly as the stdlib path does, through orjson when it can.
 
     Returns (obj, exact). The stdlib path is `json.loads`, or with `clean`
-    the two-stage revision-text recovery of `parse_revision_text`. orjson
-    runs only when its result cannot differ: no run of 19 or more digits
-    (orjson silently turns an integer outside the 64-bit range into a float)
-    and, with `clean`, nothing the cleanup would change (no '&' and no smart
-    quote; a control character makes orjson raise). On any orjson error the
-    stdlib path runs, which covers NaN, Infinity, 1e400 and lone surrogates.
-    `exact` is True when orjson produced the object: it then holds no NaN,
-    no infinity and no integer beyond 64 bits, so `orjson.dumps` of any part
-    of it is injective (NaN and infinity would dump as null).
+    the two-stage revision-text recovery of `parse_revision_text`. With
+    `clean`, stage 1's cleanup (html-unescape, smart quotes, control chars)
+    runs first and orjson parses the cleaned text, as stage 1 would. orjson
+    runs only when no integer of 19 or more digits can occur (orjson
+    silently turns an integer outside the 64-bit range into a float). On any
+    orjson error the stdlib path runs, which covers NaN, Infinity, 1e400 and
+    lone surrogates. `exact` is True when orjson produced the object: it
+    then holds no NaN, no infinity and no integer beyond 64 bits, so
+    `orjson.dumps` of any part of it is injective (NaN and infinity would
+    dump as null).
 
     One known divergence: nesting deeper than the interpreter's recursion
     limit (~1,000 levels) parses here, where the stdlib raised RecursionError.
     """
-    if type(text) is str and _orjson_reads_exactly(text, clean):
-        try:
-            return orjson.loads(text), True
-        except orjson.JSONDecodeError:
-            pass
+    if type(text) is str:
+        cleaned, guard = (_clean(text) if clean
+                          else (text, _number_guard(text)))
+        if _no_long_int(guard):
+            try:
+                return orjson.loads(cleaned), True
+            except orjson.JSONDecodeError:
+                pass
     return (_recover_revision_text(text) if clean else json.loads(text)), False
 
 
-def _orjson_reads_exactly(text: str, clean: bool) -> bool:
-    if clean and ("&" in text or (not text.isascii() and any(
-            q in text for q in _SMART_QUOTE_CHARS))):
-        return False
-    # a digit-run scan with a regex costs ~20x this translate + find
-    return text.encode("utf-8", "surrogatepass").translate(
-        _DIGITS_TO_ZERO).find(_LONG_DIGIT_RUN) < 0
+def _clean(raw_text: str):
+    """Stage 1's cleaned text and its guard bytes (_number_guard).
+
+    Passes that cannot change the text are skipped: html.unescape returns
+    at once without an '&', only non-ASCII text can hold a smart quote, and
+    the guard bytes show whether a control character is present."""
+    text = html.unescape(raw_text.strip())
+    if not text.isascii() and any(q in text for q in _SMART_QUOTE_CHARS):
+        text = text.translate(_SMART_QUOTES)
+    guard = _number_guard(text)
+    if guard.find(b"\x00") >= 0:
+        text = _CTRL_CHARS_RE.sub("", text)
+        guard = _number_guard(text)
+    return text, guard
+
+
+def _number_guard(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass").translate(_GUARD_TABLE)
+
+
+def _no_long_int(guard: bytes) -> bool:
+    """No integer part of 19 or more digits. An integer part's first digit
+    follows the start of the text or a byte mapped to \\x01; a digit inside
+    a string (a 40-hex hash, say) mostly does not, and may flag a false
+    positive at worst. A regex scan costs ~20x this translate + find."""
+    return not guard.startswith(_LONG_INT) and guard.find(
+        b"\x01" + _LONG_INT) < 0
 
 
 def _recover_revision_text(raw_text):

@@ -10,9 +10,8 @@ import duckdb
 import pandas as pd
 import pytest
 
-# sf0.001 keeps the full 74-query sweep ~2.5 min in the suite; the driver
-# compares at sf0.01 — set GRAFT_CONTRACT_SF=/root/testdata/sf0.01 to run
-# this same sweep at the driver's tier locally
+# sf0.001 keeps the 21-query sweep short in the suite; set
+# GRAFT_CONTRACT_SF=/root/testdata/sf0.01 to run the same sweep at sf0.01
 SF = os.environ.get("GRAFT_CONTRACT_SF", "/root/testdata/sf0.001")
 
 
@@ -34,12 +33,8 @@ def contract():
 
 @pytest.fixture(scope="module")
 def con():
-    c = duckdb.connect()
-    for t in ("region", "nation", "customer", "supplier", "part", "orders",
-              "lineitem", "events", "documents", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * "
-                  f"FROM read_parquet('{SF}/{t}.parquet')")
-    return c
+    # every oracle reads its own expectation parquet through read_parquet
+    return duckdb.connect()
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -66,5 +61,4 @@ def test_query_matches_oracle(ray_session, contract, con, name):
 
 def test_every_query_has_oracle(contract):
     queries, oracles = contract
-    missing = set(queries) - set(oracles)
-    assert missing == set(), missing
+    assert set(queries) == set(oracles)

@@ -28,7 +28,7 @@ class TestGraphMaterialize:
         docs = pa.Table.from_pydict(
             {"doc_id": [s.qid for s in sims], "spans": [s.spans for s in sims]},
             schema=DOCS_SCHEMA)
-        vc = extract_table(ray.data.from_arrow(docs), "value_change", concurrency=2)
+        vc = extract_table(ray.data.from_arrow(docs), "value_change")
         triples = materialize_graph(vc).take_all()
 
         got = {(t["subj"], t["pred"], t["value_id"]): t["obj"] for t in triples}
@@ -62,7 +62,7 @@ class TestGraphMaterialize:
         docs = pa.Table.from_pydict(
             {"doc_id": [s.qid for s in sims], "spans": [s.spans for s in sims]},
             schema=DOCS_SCHEMA)
-        vc = extract_table(ray.data.from_arrow(docs), "value_change", concurrency=2)
+        vc = extract_table(ray.data.from_arrow(docs), "value_change")
         triples = materialize_graph(vc).take_all()
         keys = [(t["subj"], t["pred"], t["value_id"]) for t in triples]
         assert len(keys) == len(set(keys))

@@ -15,7 +15,7 @@ import ray, sys
 ray.init(address="local", num_cpus=4, include_dashboard=False, log_to_driver=False)
 sys.path.insert(0, {repo!r})
 from wikidata_edit_history_ray.pipelines.kg import run_extraction
-run_extraction({src!r}, {out!r}, batch_size=8)
+run_extraction({src!r}, {out!r})
 print("DONE", flush=True)
 """
 

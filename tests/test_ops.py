@@ -1,180 +1,8 @@
-"""Tests for dedup / text / similarity / media / enrichment / analysis
-operators, cross-checked against DuckDB where SQL can express the semantics."""
-import os
-
+"""Tests for the enrichment stage and the analysis aggregates, cross-checked
+against DuckDB where SQL can express the semantics."""
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pytest
-
-SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.001")
-
-
-@pytest.fixture(scope="module")
-def docs_ds(ray_session):
-    import ray.data
-
-    return ray.data.read_parquet(f"{SF_DIR}/documents.parquet")
-
-
-@pytest.fixture(scope="module")
-def emb_ds(ray_session):
-    import ray.data
-
-    return ray.data.read_parquet(f"{SF_DIR}/embeddings.parquet")
-
-
-class TestExactDedup:
-    def test_matches_duckdb_window(self, ray_session, docs_ds):
-        from wikidata_edit_history_ray.stages.dedup_ops import exact_dedup
-
-        got = exact_dedup(docs_ds, text_col="text", id_col="doc_id")
-        got_ids = sorted(r["doc_id"] for r in got.select_columns(["doc_id"]).take_all())
-        expected = duckdb.sql(f"""
-            SELECT doc_id FROM (
-              SELECT doc_id, ROW_NUMBER() OVER (PARTITION BY text ORDER BY doc_id) rn
-              FROM read_parquet('{SF_DIR}/documents.parquet')) WHERE rn = 1
-            ORDER BY doc_id""").fetchall()
-        assert got_ids == [r[0] for r in expected]
-
-
-class TestMinhashSimhash:
-    def test_minhash_removes_near_dupes_keeps_distinct(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.dedup_ops import minhash_lsh_dedup
-
-        base = ("the quick brown fox jumps over the lazy dog and then runs far "
-                "away into the deep dark forest tonight while stars shine")
-        near = base.replace("tonight", "at midnight")
-        distinct = "completely different content about databases and query engines"
-        t = pa.table({"doc_id": [1, 2, 3],
-                      "text": [base, near, distinct]})
-        out = minhash_lsh_dedup(ray.data.from_arrow(t), jaccard_threshold=0.5)
-        ids = sorted(r["doc_id"] for r in out.take_all())
-        assert ids == [1, 3]
-
-    def test_simhash_dedup(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.dedup_ops import simhash_dedup
-
-        base = " ".join(f"token{i}" for i in range(60))
-        near = base.replace("token5 ", "tok5 ")
-        distinct = " ".join(f"other{i}" for i in range(60))
-        t = pa.table({"doc_id": [1, 2, 3], "text": [base, near, distinct]})
-        out = simhash_dedup(ray.data.from_arrow(t), max_hamming=7)
-        ids = sorted(r["doc_id"] for r in out.take_all())
-        assert ids == [1, 3]
-
-    def test_simhash_rejects_hamming_beyond_pigeonhole(self, ray_session):
-        import pytest
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.dedup_ops import simhash_dedup
-
-        t = pa.table({"doc_id": [1], "text": ["x"]})
-        with pytest.raises(ValueError):
-            simhash_dedup(ray.data.from_arrow(t), max_hamming=8)
-
-    def test_ngram_jaccard(self):
-        from wikidata_edit_history_ray.stages.dedup_ops import ngram_jaccard
-
-        assert ngram_jaccard("a b c d", "a b c d") == 1.0
-        assert ngram_jaccard("a b c d", "x y z w") == 0.0
-        assert 0.0 < ngram_jaccard("a b c d e", "a b c d x") < 1.0
-
-
-class TestEmbeddingOps:
-    def test_brute_force_topk_matches_duckdb(self, ray_session, emb_ds):
-        from wikidata_edit_history_ray.stages.similarity import brute_force_topk
-
-        first = emb_ds.take(1)[0]
-        q = np.array([first["embedding"]], dtype=np.float32)
-        got = brute_force_topk(emb_ds, q, k=5).take_all()
-        got_ids = [r["vec_id"] for r in sorted(got, key=lambda r: -r["score"])]
-        expected = duckdb.sql(f"""
-            WITH q AS (SELECT embedding qv FROM read_parquet('{SF_DIR}/embeddings.parquet')
-                       ORDER BY vec_id LIMIT 1)
-            SELECT vec_id FROM read_parquet('{SF_DIR}/embeddings.parquet'), q
-            ORDER BY list_cosine_similarity(embedding, qv) DESC, vec_id LIMIT 5
-        """).fetchall()
-        assert got_ids[0] == expected[0][0]
-        assert set(got_ids) == {r[0] for r in expected}
-
-    def test_ivf_recall_against_exact(self, ray_session, emb_ds):
-        from wikidata_edit_history_ray.stages.similarity import brute_force_topk, ivf_topk
-
-        rows = emb_ds.take(3)
-        q = np.array([r["embedding"] for r in rows], dtype=np.float32)
-        exact = brute_force_topk(emb_ds, q, k=10).take_all()
-        approx = ivf_topk(emb_ds, q, k=10, n_centroids=8, nprobe=4).take_all()
-        for qi in range(3):
-            e = {r["vec_id"] for r in exact if r["query_idx"] == qi}
-            a = {r["vec_id"] for r in approx if r["query_idx"] == qi}
-            assert len(e & a) / len(e) >= 0.5  # recall vs exact with 4/8 probes
-
-    def test_embedding_dedup_drops_duplicate_vector(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.dedup_ops import embedding_dedup
-
-        rng = np.random.RandomState(0)
-        v1 = rng.randn(16).astype(np.float32)
-        v3 = rng.randn(16).astype(np.float32)
-        t = pa.table({"vec_id": [1, 2, 3],
-                      "embedding": [v1.tolist(), (v1 * 2).tolist(), v3.tolist()]})
-        out = embedding_dedup(ray.data.from_arrow(t), cosine_threshold=0.99)
-        assert sorted(r["vec_id"] for r in out.take_all()) == [1, 3]
-
-
-class TestTextOps:
-    def test_language_id(self, ray_session):
-        from wikidata_edit_history_ray.stages.text_ops import detect_language
-
-        assert detect_language("the cat and the dog are in the house") == "en"
-        assert detect_language("der Hund und die Katze sind schön") == "de"
-
-    def test_token_counts_match_duckdb(self, ray_session, docs_ds):
-        from wikidata_edit_history_ray.stages.text_ops import token_counts
-
-        got = docs_ds.map_batches(token_counts, batch_format="pyarrow") \
-            .select_columns(["doc_id", "ws_token_count"]).take_all()
-        got_map = {r["doc_id"]: r["ws_token_count"] for r in got}
-        exp = duckdb.sql(f"""
-            SELECT doc_id, length(regexp_extract_all(text, '\\S+'))
-            FROM read_parquet('{SF_DIR}/documents.parquet')""").fetchall()
-        for doc_id, n in exp:
-            assert got_map[doc_id] == n
-
-    def test_quality_and_fingerprint_deterministic(self, ray_session, docs_ds):
-        from wikidata_edit_history_ray.stages.text_ops import analyze_text
-
-        out = analyze_text(docs_ds.limit(50)).take_all()
-        assert all(0 <= r["quality_score"] <= 1 for r in out)
-        out2 = analyze_text(docs_ds.limit(50)).take_all()
-        fp1 = {r["doc_id"]: r["fingerprint"] for r in out}
-        fp2 = {r["doc_id"]: r["fingerprint"] for r in out2}
-        assert fp1 == fp2
-
-
-class TestMediaStage:
-    def test_media_feature_plumbing(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.media import (
-            extract_media_features, make_media_table)
-
-        t = make_media_table([f"media://img/{i:04d}.png" for i in range(10)])
-        out = extract_media_features(ray.data.from_arrow(t), batch_size=4).take_all()
-        assert len(out) == 10
-        assert all(len(r["media_features"]) == 16 for r in out)
-        assert all(r["decoded_width"] == 32 for r in out)
-        # deterministic across runs
-        out2 = extract_media_features(ray.data.from_arrow(t), batch_size=4).take_all()
-        f1 = {r["media_ref"]: r["media_features"] for r in out}
-        f2 = {r["media_ref"]: r["media_features"] for r in out2}
-        assert f1 == f2
 
 
 class TestEnrichment:
@@ -225,8 +53,8 @@ class TestAnalysis:
         from wikidata_edit_history_ray.sources.io import read_documents
 
         ds = read_documents(corpus_parquet)
-        vc = extract_table(ds, "value_change", concurrency=2).materialize()
-        es = extract_table(ds, "entity_stats", concurrency=2).materialize()
+        vc = extract_table(ds, "value_change").materialize()
+        es = extract_table(ds, "entity_stats").materialize()
         return vc, es
 
     def test_property_stats_vs_duckdb(self, vc_and_stats):
@@ -247,7 +75,7 @@ class TestAnalysis:
 
     def test_corpus_stats_and_distribution(self, vc_and_stats):
         from wikidata_edit_history_ray.pipelines.analysis import (
-            corpus_stats, revision_distribution, top_k)
+            corpus_stats, revision_distribution)
 
         _, es = vc_and_stats
         g = corpus_stats(es)
@@ -255,415 +83,3 @@ class TestAnalysis:
         assert g["total_revisions"] > 0
         dist = revision_distribution(es).take_all()
         assert sum(r["num_entities"] for r in dist) == es.count()
-        top = top_k(es, "num_value_changes", k=5).take_all()
-        assert len(top) == 5
-        assert top[0]["num_value_changes"] >= top[-1]["num_value_changes"]
-
-
-class TestInterleavedMedia:
-    def test_every_media_span_gets_a_feature_row(self, ray_session, small_corpus):
-        import ray
-
-        from wikidata_edit_history_ray.stages.media import extract_media_from_docs
-
-        docs, exp = small_corpus
-        out = extract_media_from_docs(ray.data.from_arrow(docs),
-                                      batch_size=32).take_all()
-        expected_media = {(d, s["offset"], s["media_ref"])
-                          for d, spans in exp["spans"].items()
-                          for s in spans if s["kind"] == "media"}
-        got = {(r["doc_id"], r["offset"], r["media_ref"]) for r in out}
-        assert got == expected_media
-        assert all(len(r["media_features"]) == 16 for r in out)
-        # deterministic payload resolution: rerun matches
-        out2 = extract_media_from_docs(ray.data.from_arrow(docs),
-                                       batch_size=32).take_all()
-        f1 = {r["media_ref"]: r["media_features"] for r in out}
-        f2 = {r["media_ref"]: r["media_features"] for r in out2}
-        assert f1 == f2
-
-
-class TestMediaResizeAndFrames:
-    def test_resize_nearest_kernel(self):
-        import numpy as np
-
-        from wikidata_edit_history_ray.stages.media import resize_nearest
-
-        img = np.arange(4 * 6 * 3, dtype=np.uint8).reshape(4, 6, 3)
-        out = resize_nearest(img, 2, 3)
-        assert out.shape == (2, 3, 3)
-        # nearest-neighbor: exact source pixels, no interpolation
-        assert (out[0, 0] == img[0, 0]).all()
-        assert (out[1, 2] == img[2, 4]).all()
-        up = resize_nearest(img, 8, 12)
-        assert up.shape == (8, 12, 3)
-
-    def test_resize_stage(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.media import (make_media_table,
-                                                            resize_media)
-
-        t = make_media_table([f"media://img/{i}.png" for i in range(10)])
-        out = resize_media(ray.data.from_arrow(t), out_h=8, out_w=8,
-                           batch_size=4).take_all()
-        assert len(out) == 10
-        for r in out:
-            assert r["resized_height"] == 8 and r["resized_width"] == 8
-            assert len(r["resized_rgb"]) == 8 * 8 * 3
-        # deterministic across runs
-        out2 = resize_media(ray.data.from_arrow(t), out_h=8, out_w=8).take_all()
-        assert {r["media_ref"]: bytes(r["resized_rgb"]) for r in out} == \
-            {r["media_ref"]: bytes(r["resized_rgb"]) for r in out2}
-
-    def test_frame_sampling_schedule(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.media import (fake_duration_ms,
-                                                            sample_video_frames)
-
-        refs = [f"media://vid/{i}.mp4" for i in range(5)]
-        t = pa.table({"media_ref": pa.array(refs, type=pa.string())})
-        rows = sample_video_frames(ray.data.from_arrow(t),
-                                   interval_ms=500).take_all()
-        by_ref = {}
-        for r in rows:
-            by_ref.setdefault(r["media_ref"], []).append(r)
-        for ref in refs:
-            frames = sorted(by_ref[ref], key=lambda r: r["frame_index"])
-            expected = fake_duration_ms(ref) // 500 + 1
-            assert len(frames) == expected
-            assert [f["ts_ms"] for f in frames] == \
-                [i * 500 for i in range(expected)]
-            assert all(len(f["frame_features"]) == 16 for f in frames)
-
-    def test_media_type_inference(self):
-        from wikidata_edit_history_ray.stages.media import infer_media_type
-
-        assert infer_media_type("a/b.PNG") == "image"
-        assert infer_media_type("x.mp3") == "audio"
-        assert infer_media_type("x.webm") == "video"
-        assert infer_media_type("x.bin") == "binary"
-
-
-class TestPackSequences:
-    def test_matches_window_oracle(self, ray_session, docs_ds):
-        import duckdb
-
-        from wikidata_edit_history_ray.stages.packing import pack_sequences
-        from wikidata_edit_history_ray.stages.text_ops import token_counts
-
-        toks = docs_ds.map_batches(token_counts, batch_format="pyarrow") \
-            .select_columns(["doc_id", "ws_token_count"])
-        got = sorted((r["doc_id"], r["pack_id"])
-                     for r in pack_sequences(toks, "ws_token_count", 256).take_all())
-        exp = duckdb.sql(f"""
-            WITH t AS (SELECT doc_id,
-                              length(regexp_extract_all(text, '\\S+'))::BIGINT tok
-                       FROM read_parquet('{SF_DIR}/documents.parquet'))
-            SELECT doc_id,
-                   CAST(FLOOR((SUM(tok) OVER (ORDER BY doc_id
-                                ROWS UNBOUNDED PRECEDING) - tok) / 256.0)
-                        AS BIGINT)
-            FROM t ORDER BY doc_id""").fetchall()
-        assert got == [(a, b) for a, b in exp]
-
-    def test_oversized_doc_and_skew(self, ray_session):
-        """A doc bigger than the budget owns the pack its first token lands
-        in; later docs continue from the running total (never reset)."""
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.packing import pack_sequences
-
-        t = pa.table({"doc_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-                      "tok": pa.array([10, 1000, 10, 10], type=pa.int64())})
-        out = {r["doc_id"]: r["pack_id"] for r in pack_sequences(
-            ray.data.from_arrow(t), "tok", 100, num_ranges=3).take_all()}
-        # prefix-excl: 0, 10, 1010, 1020 -> packs 0, 0, 10, 10
-        assert out == {1: 0, 2: 0, 3: 10, 4: 10}
-
-    def test_empty_input(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.packing import pack_sequences
-
-        t = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                      "tok": pa.array([], type=pa.int64())})
-        assert pack_sequences(ray.data.from_arrow(t), "tok", 100).count() == 0
-
-    def test_schemaless_empty_input(self, ray_session):
-        """A filter chain that drops EVERY row yields blocks whose schema()
-        is None (not just zero rows) — pack_sequences must return its typed
-        empty output, not crash on schema.types (regression: the composed
-        flagship at a fully-decontaminated corpus)."""
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.packing import pack_sequences
-
-        t = pa.table({"doc_id": pa.array([1, 2], type=pa.int64()),
-                      "tok": pa.array([5, 5], type=pa.int64())})
-        empty = ray.data.from_arrow(t).map_batches(
-            lambda b: b.slice(0, 0), batch_format="pyarrow")
-        out = pack_sequences(empty, "tok", 100)
-        assert out.count() == 0
-        assert set(out.schema().names) == {"doc_id", "tok", "pack_id"}
-
-
-class TestStratifiedSample:
-    def test_matches_window_oracle_and_reruns_identical(self, ray_session, docs_ds):
-        import duckdb
-
-        from wikidata_edit_history_ray.stages.sampling import stratified_sample
-
-        got = sorted((r["lang"], r["doc_id"]) for r in
-                     stratified_sample(docs_ds, "lang", 7).take_all())
-        again = sorted((r["lang"], r["doc_id"]) for r in
-                       stratified_sample(docs_ds, "lang", 7).take_all())
-        assert got == again  # deterministic across runs
-        exp = duckdb.sql(f"""
-            SELECT lang, doc_id FROM (
-              SELECT lang, doc_id, ROW_NUMBER() OVER (
-                PARTITION BY lang ORDER BY md5(CAST(doc_id AS VARCHAR))) rn
-              FROM read_parquet('{SF_DIR}/documents.parquet')) WHERE rn <= 7
-            ORDER BY lang, doc_id""").fetchall()
-        assert got == [(a, b) for a, b in exp]
-
-    def test_small_stratum_kept_whole(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import stratified_sample
-
-        t = pa.table({"doc_id": pa.array(range(10), type=pa.int64()),
-                      "lang": ["rare"] * 3 + ["big"] * 7})
-        out = stratified_sample(ray.data.from_arrow(t, override_num_blocks=4),
-                                "lang", 5).take_all()
-        by = {}
-        for r in out:
-            by.setdefault(r["lang"], []).append(r["doc_id"])
-        assert sorted(by["rare"]) == [0, 1, 2]  # under-quota stratum intact
-        assert len(by["big"]) == 5
-
-
-class TestSlidingWindow:
-    def test_peers_and_window_edges(self, ray_session):
-        """RANGE-frame semantics: equal timestamps are peers (all in-frame),
-        rows exactly `window` old are included, older excluded."""
-        import datetime as dt
-
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.windows import sliding_window_sum
-
-        base = dt.datetime(2024, 1, 1)
-        rows = [
-            (1, 7, base, 1.0),
-            (2, 7, base + dt.timedelta(seconds=50), 2.0),
-            (3, 7, base + dt.timedelta(seconds=50), 4.0),   # peer of event 2
-            (4, 7, base + dt.timedelta(seconds=150), 8.0),  # 100s after peers
-            (5, 9, base + dt.timedelta(seconds=50), 16.0),  # other key
-        ]
-        t = pa.table({
-            "event_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "user_id": pa.array([r[1] for r in rows], type=pa.int64()),
-            "ts": pa.array([r[2] for r in rows], type=pa.timestamp("us")),
-            "value": pa.array([r[3] for r in rows], type=pa.float64()),
-        })
-        out = {r["event_id"]: r["window_sum"] for r in sliding_window_sum(
-            ray.data.from_arrow(t), "user_id", "ts", "value",
-            window_seconds=100).take_all()}
-        assert out[1] == 1.0
-        assert out[2] == 7.0 and out[3] == 7.0  # peers see each other + ev1 (50s <= 100s)
-        assert out[4] == 14.0  # ev2+ev3 exactly 100s old (inclusive), ev1 out
-        assert out[5] == 16.0  # keys never mix
-
-
-class TestAsofJoin:
-    def test_semantics_including_ties_and_no_match(self, ray_session):
-        import datetime as dt
-
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.joins import asof_join
-
-        base = dt.datetime(2024, 1, 1)
-        left = pa.table({
-            "event_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "k": pa.array([7, 7, 7, 9], type=pa.int64()),
-            "ts": pa.array([base, base + dt.timedelta(seconds=10),
-                            base + dt.timedelta(seconds=20), base],
-                           type=pa.timestamp("us")),
-        })
-        right = pa.table({
-            "k": pa.array([7, 7], type=pa.int64()),
-            "ts": pa.array([base + dt.timedelta(seconds=10),
-                            base + dt.timedelta(seconds=15)],
-                           type=pa.timestamp("us")),
-            "v": pa.array([100.0, 200.0], type=pa.float64()),
-        })
-        out = {r["event_id"]: r["v_right"] for r in asof_join(
-            ray.data.from_arrow(left), ray.data.from_arrow(right),
-            key_col="k", ts_col="ts", right_value_cols=["v"]).take_all()}
-        assert out[1] is None          # before any right row
-        assert out[2] == 100.0         # tie at equal ts matches
-        assert out[3] == 200.0         # most recent wins
-        assert out[4] is None          # key with no right rows
-
-
-class TestRangeJoin:
-    def test_overlapping_intervals_one_row_each(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.joins import broadcast_range_join
-
-        t = pa.table({"event_id": pa.array([1, 2, 3], type=pa.int64()),
-                      "value": pa.array([5.0, 25.0, 99.0], type=pa.float64())})
-        bands = [(0, 0.0, 30.0), (1, 20.0, 50.0)]  # overlap on [20, 30]
-        out = sorted((r["event_id"], r["band_id"]) for r in broadcast_range_join(
-            ray.data.from_arrow(t), "value", bands,
-            id_cols=["event_id"]).take_all())
-        assert out == [(1, 0), (2, 0), (2, 1)]  # 99.0 matches nothing
-
-
-class TestUnigramLogprob:
-    def test_matches_duckdb(self, ray_session, docs_ds):
-        from wikidata_edit_history_ray.stages.text_ops import unigram_logprob
-
-        got = {r["doc_id"]: (r["n_tokens"], round(r["unigram_logprob"], 6))
-               for r in unigram_logprob(
-                   docs_ds.select_columns(["doc_id", "text"])).take_all()}
-        exp = duckdb.sql(f"""
-            WITH toks AS (
-              SELECT doc_id,
-                     UNNEST(regexp_extract_all(lower(coalesce(text, '')),
-                                               '[a-z0-9]+')) AS tok
-              FROM read_parquet('{SF_DIR}/documents.parquet')
-            ),
-            counts AS (SELECT tok, COUNT(*)::DOUBLE c FROM toks GROUP BY tok),
-            total AS (SELECT COUNT(*)::DOUBLE n FROM toks)
-            SELECT t.doc_id, COUNT(*)::BIGINT,
-                   ROUND(AVG(ln(c.c / (SELECT n FROM total))), 6)
-            FROM toks t JOIN counts c USING (tok) GROUP BY t.doc_id
-        """).fetchall()
-        assert got == {d: (n, lp) for d, n, lp in exp}
-
-    def test_empty_docs_emit_nothing(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.text_ops import unigram_logprob
-
-        t = pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
-                      "text": pa.array(["hello hello world", "", None],
-                                       type=pa.string())})
-        rows = unigram_logprob(ray.data.from_arrow(t)).take_all()
-        assert [r["doc_id"] for r in rows] == [1]
-        # counts: hello=2, world=1, total=3
-        import math
-        exp = (2 * math.log(2 / 3) + math.log(1 / 3)) / 3
-        assert abs(rows[0]["unigram_logprob"] - exp) < 1e-12
-        assert rows[0]["n_tokens"] == 3
-
-
-class TestKMeans:
-    def test_assign_matches_duckdb(self, ray_session, emb_ds):
-        from wikidata_edit_history_ray.stages.similarity import kmeans_assign
-
-        got = {r["vec_id"]: (r["cluster"], round(r["dist"], 6))
-               for r in kmeans_assign(
-                   emb_ds.select_columns(["vec_id", "embedding"]),
-                   k=8).take_all()}
-        exp = duckdb.sql(f"""
-            WITH c AS (
-              SELECT embedding AS cvec,
-                     ROW_NUMBER() OVER (ORDER BY vec_id) - 1 AS cluster
-              FROM read_parquet('{SF_DIR}/embeddings.parquet')
-              ORDER BY vec_id LIMIT 8
-            ),
-            d AS (
-              SELECT e.vec_id, c.cluster,
-                     list_sum(list_transform(list_zip(e.embedding, c.cvec),
-                       x -> (CAST(x[1] AS DOUBLE)
-                             - CAST(x[2] AS DOUBLE)) ** 2)) AS dist
-              FROM read_parquet('{SF_DIR}/embeddings.parquet') e
-              CROSS JOIN c
-            )
-            SELECT vec_id, cluster::BIGINT, ROUND(dist, 6) FROM d
-            QUALIFY ROW_NUMBER() OVER (
-              PARTITION BY vec_id ORDER BY dist, cluster) = 1
-        """).fetchall()
-        assert got == {v: (c, dd) for v, c, dd in exp}
-
-    def test_fit_matches_local_lloyd(self, ray_session, emb_ds):
-        """Distributed partial-sum Lloyd == single-process numpy Lloyd."""
-        from wikidata_edit_history_ray.stages.similarity import kmeans_fit
-
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(f"{SF_DIR}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-        order = np.argsort(np.array(t.column("vec_id").to_pylist()))
-        X = np.array(t.column("embedding").to_pylist(),
-                     dtype=np.float64)[order]
-        C = X[:8].copy()
-        for _ in range(3):
-            d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-            a = np.argmin(d2, axis=1)
-            for j in range(8):
-                m = X[a == j]
-                if len(m):
-                    C[j] = m.mean(axis=0)
-        got = kmeans_fit(emb_ds.select_columns(["vec_id", "embedding"]),
-                         k=8, iters=3)
-        # means accumulate in different order across partials -> tolerance
-        assert np.allclose(got, C, rtol=1e-9, atol=1e-12)
-
-
-class TestSessionize:
-    def test_matches_duckdb_window(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.windows import sessionize
-
-        ds = ray.data.read_parquet(f"{SF_DIR}/events.parquet",
-                                   columns=["event_id", "user_id", "ts"])
-        got = {r["event_id"]: r["session_id"]
-               for r in sessionize(ds, "user_id", "ts", 1800.0,
-                                   id_col="event_id").take_all()}
-        exp = duckdb.sql(f"""
-            WITH o AS (
-              SELECT event_id, user_id, ts,
-                     CASE WHEN ts - lag(ts) OVER (
-                              PARTITION BY user_id ORDER BY ts, event_id)
-                            > INTERVAL '1800' SECOND
-                          THEN 1 ELSE 0 END AS brk
-              FROM read_parquet('{SF_DIR}/events.parquet')
-            )
-            SELECT event_id,
-                   (1 + SUM(brk) OVER (
-                      PARTITION BY user_id ORDER BY ts, event_id
-                      ROWS UNBOUNDED PRECEDING))::BIGINT
-            FROM o""").fetchall()
-        assert got == dict(exp)
-
-    def test_numeric_epoch_seconds_and_boundary(self, ray_session):
-        """Numeric ts = epoch seconds; a gap EQUAL to gap_seconds does not
-        break the session (strictly greater does)."""
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.windows import sessionize
-
-        t = pa.table({
-            "k": pa.array([1, 1, 1, 2], type=pa.int64()),
-            "ts": pa.array([0.0, 30.0, 60.5, 5.0], type=pa.float64()),
-            "eid": pa.array([1, 2, 3, 4], type=pa.int64())})
-        out = {r["eid"]: r["session_id"] for r in sessionize(
-            ray.data.from_arrow(t), "k", "ts", 30.0, id_col="eid").take_all()}
-        # 0 -> 30 (gap 30, not a break), 30 -> 60.5 (gap 30.5 > 30, break)
-        assert out == {1: 1, 2: 1, 3: 2, 4: 1}

@@ -1,7 +1,12 @@
 """End-to-end Ray Data pipeline tests: P/R vs construction oracle,
-span-sequence invariant, multi-sink + resume, dedup idempotency."""
+span-sequence invariant, multi-sink + resume, dedup idempotency, and the
+`extract` CLI."""
+import json
 import os
+import subprocess
+import sys
 
+import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
@@ -21,7 +26,7 @@ class TestExtractionParity:
 
         ds = read_documents(corpus_parquet)
         return {
-            t: extract_table(ds, t, concurrency=2).take_all()
+            t: extract_table(ds, t).take_all()
             for t in ("value_change", "qualifier_change", "reference_change",
                       "revision", "doc_spans")
         }
@@ -84,7 +89,7 @@ class TestMultiSinkAndResume:
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         out_dir = str(tmp_path / "out")
-        m1 = run_extraction(corpus_parquet, out_dir, concurrency=2)
+        m1 = run_extraction(corpus_parquet, out_dir)
         rows1 = m1.take_all()
         assert rows1 and not any(r["resumed"] for r in rows1)
         assert os.path.isdir(os.path.join(out_dir, "value_change"))
@@ -93,7 +98,7 @@ class TestMultiSinkAndResume:
         assert n_vc > 0
 
         # resume: everything skipped, outputs unchanged
-        m2 = run_extraction(corpus_parquet, out_dir, concurrency=2)
+        m2 = run_extraction(corpus_parquet, out_dir)
         rows2 = m2.take_all()
         assert all(r["resumed"] for r in rows2)
         assert pq.read_table(os.path.join(out_dir, "value_change")).num_rows == n_vc
@@ -103,12 +108,12 @@ class TestMultiSinkAndResume:
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         out_dir = str(tmp_path / "out2")
-        m1 = run_extraction(corpus_parquet, out_dir, concurrency=2)
+        m1 = run_extraction(corpus_parquet, out_dir)
         parts = sorted(r["partition_id"] for r in m1.take_all())
         # kill one partition's manifest => only it recomputes
         victim = parts[0]
         os.remove(os.path.join(out_dir, "_manifest", f"{victim}.json"))
-        m2 = run_extraction(corpus_parquet, out_dir, concurrency=2)
+        m2 = run_extraction(corpus_parquet, out_dir)
         rows = {r["partition_id"]: r["resumed"] for r in m2.take_all()}
         assert rows[victim] is False
         assert all(v for k, v in rows.items() if k != victim)
@@ -123,116 +128,67 @@ class TestDedup:
         docs, _ = small_corpus
         sub = docs.slice(0, 20)
         ds = ray.data.from_arrow(sub)
-        vc = extract_table(ds, "value_change", concurrency=2)
+        vc = extract_table(ds, "value_change")
         once = vc.take_all()
         # double the input: same docs twice -> exact dup rows across partitions
         ds2 = ray.data.from_arrow(sub).union(ray.data.from_arrow(sub))
-        vc2 = extract_table(ds2, "value_change", concurrency=2)
+        vc2 = extract_table(ds2, "value_change")
         deduped = dedup_changes(
             vc2, ["revision_id", "property_id", "value_id", "change_target"])
         assert deduped.count() == len(once)
 
 
-def test_corpus_prep_cli(ray_session, tmp_path):
-    """The corpus-prep subcommand drives the flagship chain end-to-end to
-    parquet; an all-decontaminated corpus reports rows=0 instead of
-    crashing on the missing output."""
-    import json
-    import subprocess
-    import sys
-
-    sf = "/root/testdata/sf0.001/documents.parquet"
-    import pyarrow.parquet as pq
-
-    bench = tmp_path / "bench.parquet"
-    pq.write_table(pq.read_table(sf).slice(0, 3), bench)
-    out = subprocess.run(
-        [sys.executable, "-m", "wikidata_edit_history_ray", "corpus-prep",
-         "--input", sf, "--benchmark", str(bench),
-         "--output", str(tmp_path / "packed")],
-        capture_output=True, text=True, cwd="/root/repo", timeout=600)
-    assert out.returncode == 0, out.stderr[-2000:]
-    res = json.loads(out.stdout.strip().splitlines()[-1])
-    assert res["rows"] > 0
-    t = pq.read_table(res["output"])
-    assert set(t.schema.names) == {"doc_id", "ws_token_count", "pack_id"}
-    assert res["rows"] == t.num_rows
-
-    # rerunning into the SAME non-empty output must refuse loudly (a second
-    # write would interleave old and new packs under fresh UUID names)
-    again = subprocess.run(
-        [sys.executable, "-m", "wikidata_edit_history_ray", "corpus-prep",
-         "--input", sf, "--benchmark", str(bench),
-         "--output", str(tmp_path / "packed")],
-        capture_output=True, text=True, cwd="/root/repo", timeout=120)
-    assert again.returncode != 0
-    assert "previous run" in again.stderr
-
-    # benchmark == corpus: decontamination drops every doc; the command
-    # reports rows=0 (footer-count over zero files), exit 0 — even when the
-    # output directory pre-exists (mkdir -p is standard practice)
-    empty_out = tmp_path / "packed_empty"
-    empty_out.mkdir()
-    zero = subprocess.run(
-        [sys.executable, "-m", "wikidata_edit_history_ray", "corpus-prep",
-         "--input", sf, "--benchmark", sf,
-         "--output", str(empty_out)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=600)
-    assert zero.returncode == 0, zero.stderr[-2000:]
-    assert json.loads(zero.stdout.strip().splitlines()[-1])["rows"] == 0
+def _cli_extract(corpus, out, aux):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    res = subprocess.run(
+        [sys.executable, "-m", "wikidata_edit_history_ray", "extract",
+         "--input", corpus, "--output", out, "--aux-dir", aux],
+        capture_output=True, text=True, cwd=repo, timeout=600)
+    assert res.returncode == 0, res.stderr[-2000:]
+    return json.loads(res.stdout.strip().splitlines()[-1])
 
 
-def test_corpus_prep_checkpoint_resume(ray_session, tmp_path):
-    """--checkpoint-dir persists the slim post-filter table; a rerun with
-    the SAME parameters must skip the chain entirely — proven by deleting
-    the input file between runs — and re-pack to identical rows; a rerun
-    with DIFFERENT chain parameters must refuse the stale checkpoint."""
-    import json
-    import shutil
-    import subprocess
-    import sys
+def test_extract_cli_with_aux_dir(ray_session, corpus_parquet, tmp_path):
+    """`extract --aux-dir` loads the aux tables written by write_aux_tables:
+    its value_change equals run_extraction given SA_TYPES / AO_TYPES
+    directly, plus the property labels of property_labels.csv; a rerun
+    resumes every partition."""
+    import csv
 
-    import pyarrow.parquet as pq
+    from wikidata_edit_history_ray.pipelines.kg import run_extraction
+    from wikidata_edit_history_ray.sources.corpus import AO_TYPES, SA_TYPES
+    from wikidata_edit_history_ray.sources.io import write_aux_tables
+    from wikidata_edit_history_ray.stages.extract import list_partition_specs
 
-    sf = tmp_path / "docs.parquet"
-    shutil.copy("/root/testdata/sf0.001/documents.parquet", sf)
-    bench = tmp_path / "bench.parquet"
-    pq.write_table(pq.read_table(sf).slice(0, 3), bench)
-    ckpt = tmp_path / "ckpt"
+    aux = write_aux_tables(str(tmp_path / "aux"))
+    out = str(tmp_path / "cli_out")
+    parts = len(list_partition_specs(corpus_parquet))
+    first = _cli_extract(corpus_parquet, out, aux)
+    assert first["partitions"] == parts > 1
+    assert first["resumed"] == 0
+    assert first["docs"] == pq.read_metadata(corpus_parquet).num_rows
 
-    def run(outdir, extra_args=(), inp=sf):
-        return subprocess.run(
-            [sys.executable, "-m", "wikidata_edit_history_ray",
-             "corpus-prep", "--input", str(inp),
-             "--benchmark", str(bench), "--output", str(tmp_path / outdir),
-             "--checkpoint-dir", str(ckpt), *extra_args],
-            capture_output=True, text=True, cwd="/root/repo", timeout=600)
+    direct = str(tmp_path / "direct_out")
+    run_extraction(corpus_parquet, direct, sa_types=SA_TYPES,
+                   ao_types=AO_TYPES)
+    pk = ["revision_id", "property_id", "value_id", "change_target"]
 
-    first = run("out1")
-    assert first.returncode == 0, first.stderr[-2000:]
-    r1 = json.loads(first.stdout.strip().splitlines()[-1])
-    assert r1["rows"] > 0 and not r1["resumed_from_checkpoint"]
-    assert (ckpt / "_SUCCESS.json").exists()
+    def value_change(root):
+        return pq.read_table(os.path.join(root, "value_change")).to_pandas() \
+            .sort_values(pk).reset_index(drop=True)
 
-    sf.unlink()  # the input is GONE — only a true chain skip can succeed
-    second = run("out2")
-    assert second.returncode == 0, second.stderr[-2000:]
-    r2 = json.loads(second.stdout.strip().splitlines()[-1])
-    assert r2["resumed_from_checkpoint"] and r2["rows"] == r1["rows"]
-    t1 = pq.read_table(str(tmp_path / "out1")).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    t2 = pq.read_table(str(tmp_path / "out2")).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert t1.equals(t2)
+    got, exp = value_change(out), value_change(direct)
+    assert len(got) > 0
+    assert got["is_scholarly_article"].any()
+    assert got["is_astronomical_object"].any()
+    with open(os.path.join(aux, "property_labels.csv"), newline="") as f:
+        labels = {r["property_id"]: r["property_label"]
+                  for r in csv.DictReader(f)}
+    assert list(got["property_label"]) == \
+        [labels.get(str(p), "") for p in got["property_id"]]
+    assert (exp["property_label"] == "").all()
+    pd.testing.assert_frame_equal(got.drop(columns="property_label"),
+                                  exp.drop(columns="property_label"))
 
-    # changed chain parameter -> the stale checkpoint must be refused
-    third = run("out3", extra_args=("--min-tokens", "50"))
-    assert third.returncode != 0
-    assert "different" in third.stderr and "chain parameters" in third.stderr
-
-    # a TORN checkpoint (sentinel missing) is never a resume point: with
-    # the input gone the rerun must fail trying to read it, not silently
-    # pack a partial table
-    (ckpt / "_SUCCESS.json").unlink()
-    fourth = run("out4")
-    assert fourth.returncode != 0
+    again = _cli_extract(corpus_parquet, out, aux)
+    assert again["partitions"] == again["resumed"] == parts

@@ -21,7 +21,7 @@ class TestSaltedDedup:
         pk = ["revision_id", "property_id", "value_id", "change_target"]
         # duplicate the input so real duplicate keys exist across partitions
         ds = ray.data.from_arrow(hot_corpus).union(ray.data.from_arrow(hot_corpus))
-        vc = extract_table(ds, "value_change", concurrency=2).materialize()
+        vc = extract_table(ds, "value_change").materialize()
 
         plain = dedup_changes(vc, pk).select_columns(pk).take_all()
         salted = dedup_changes(vc, pk, salt_buckets=8).select_columns(pk).take_all()
@@ -36,7 +36,7 @@ class TestSaltedDedup:
         from wikidata_edit_history_ray.pipelines.kg import extract_table
 
         ds = ray.data.from_arrow(hot_corpus)
-        es = extract_table(ds, "entity_stats", concurrency=2).take_all()
+        es = extract_table(ds, "entity_stats").take_all()
         hot = [r for r in es if r["num_revisions"] >= 290]
         assert len(hot) == 5  # every 10th of 60 docs (indices 10..50)
         assert all(r["num_value_change_updates"] >= 280 for r in hot)
@@ -55,7 +55,7 @@ class TestEnrichmentPipeline:
         src = str(tmp_path / "docs.parquet")
         pqw.write_table(docs, src, row_group_size=20)
         out = str(tmp_path / "out")
-        run_extraction(src, out, concurrency=2)
+        run_extraction(src, out)
 
         closures = write_synthetic_closures(str(tmp_path / "closures"))
         res = run_enrichment(out, closure_dir=closures,
@@ -81,11 +81,11 @@ class TestWideDocGuard:
         docs, _ = make_corpus(30, seed=3, hot_doc_revisions=200, hot_doc_every=10)
         ds = ray.data.from_arrow(docs)
         cfg = DiffConfig(max_spans_per_doc=100)
-        errs = extract_table(ds, "errors", config=cfg, concurrency=2).take_all()
+        errs = extract_table(ds, "errors", config=cfg).take_all()
         assert len(errs) == 2
         assert all("WideDocSkipped" in e["error"] for e in errs)
-        n_guarded = extract_table(ds, "entity_stats", config=cfg, concurrency=2).count()
-        n_full = extract_table(ds, "entity_stats", concurrency=2).count()
+        n_guarded = extract_table(ds, "entity_stats", config=cfg).count()
+        n_full = extract_table(ds, "entity_stats").count()
         assert n_guarded == n_full - 2
 
 

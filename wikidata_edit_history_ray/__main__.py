@@ -11,14 +11,13 @@
     # generate a deterministic synthetic corpus:
     python -m wikidata_edit_history_ray gen-corpus --path /tmp/docs --docs 10000
 
-Standalone runs own their Ray session (guarded init); when the driver/harness
-has already initialised Ray, the existing session is reused.
+Standalone runs own their Ray session (guarded init); when the caller has
+already initialised Ray, the existing session is reused.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -75,7 +74,7 @@ def cmd_extract(args):
     manifest = run_extraction(
         args.input, args.output, config=_load_config(args.config),
         property_labels=property_labels,
-        sa_types=sa_types, ao_types=ao_types, batch_size=args.batch_size,
+        sa_types=sa_types, ao_types=ao_types,
         target_rows_per_partition=args.partition_rows)
     rows = manifest.take_all()
     resumed = sum(1 for r in rows if r["resumed"])
@@ -151,59 +150,6 @@ def cmd_gen_corpus(args):
     print(json.dumps({"path": path, "docs": args.docs}))
 
 
-def cmd_corpus_prep(args):
-    """Flagship training-data chain over a documents table: exact dedup ->
-    near-dup cluster canonicalization -> benchmark decontamination ->
-    quality gate -> hash split -> sequence packing -> partitioned parquet."""
-    import ray.data
-
-    from .pipelines.corpus_prep import _checkpoint_files, llm_corpus_prep
-
-    # refuse a non-empty output: write_parquet appends UUID-named files, so
-    # a rerun with different parameters would silently interleave old and
-    # new packs and report the inflated total as this run's output
-    existing = _checkpoint_files(args.output)
-    if existing:
-        raise SystemExit(
-            f"corpus-prep: output {args.output} already holds "
-            f"{len(existing)} parquet file(s) from a previous run — remove "
-            f"them or choose a fresh directory")
-    _ensure_ray()
-    # the inputs are passed as LAZY loaders: the library alone owns the
-    # resume decision (sentinel + fingerprint), and only calls the loaders
-    # when the chain will really run — a resume never opens the inputs
-    extra = {"input": args.input, "benchmark": args.benchmark}
-    # reporting only — captured BEFORE the call (a fresh run writes the
-    # sentinel itself); the decision proper lives inside the library, and
-    # a fingerprint mismatch raises there
-    resuming = bool(args.checkpoint_dir) and os.path.exists(
-        os.path.join(args.checkpoint_dir, "_SUCCESS.json"))
-    packed = llm_corpus_prep(
-        lambda: ray.data.read_parquet(args.input,
-                                      columns=[args.id_col, args.text_col]),
-        lambda: ray.data.read_parquet(args.benchmark,
-                                      columns=[args.id_col, args.text_col]),
-        text_col=args.text_col, id_col=args.id_col,
-        jaccard_threshold=args.jaccard_threshold,
-        decontam_n=args.decontam_ngram, min_tokens=args.min_tokens,
-        max_rep_ratio=args.max_rep_ratio, pack_tokens=args.pack_tokens,
-        keep_split=args.keep_split, checkpoint_dir=args.checkpoint_dir,
-        checkpoint_extra=extra)
-    packed.write_parquet(args.output)
-    import pyarrow.parquet as pq2
-
-    # count from parquet FOOTERS (KB of I/O), never by materializing a
-    # column on the driver; an all-filtered corpus writes no files at all
-    # (Ray may not even create the directory) -> rows 0, not a crash
-    n = sum(pq2.ParquetFile(f).metadata.num_rows
-            for f in _checkpoint_files(args.output))
-    print(json.dumps({"output": args.output, "rows": n,
-                      "resumed_from_checkpoint": resuming}))
-    import ray
-
-    ray.shutdown()
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(prog="wikidata_edit_history_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -214,7 +160,6 @@ def main(argv=None):
     e.add_argument("--aux-dir", default=None)
     e.add_argument("--config", default=None,
                    help="DiffConfig JSON or reference-style setup.yml")
-    e.add_argument("--batch-size", type=int, default=32)
     e.add_argument("--partition-rows", type=int, default=None,
                    help="coalesce row groups into ~N-row resume partitions "
                         "(default: one partition per row group)")
@@ -256,30 +201,6 @@ def main(argv=None):
     g.add_argument("--chunk-docs", type=int, default=None,
                    help="chunked (Ray-parallel) generation for huge corpora")
     g.set_defaults(fn=cmd_gen_corpus)
-
-    c = sub.add_parser("corpus-prep",
-                       help="dedup -> decontaminate -> filter -> split -> "
-                            "pack, one streaming chain to parquet")
-    c.add_argument("--input", required=True, help="documents parquet")
-    c.add_argument("--benchmark", required=True,
-                   help="benchmark/eval docs parquet to decontaminate against")
-    c.add_argument("--output", required=True)
-    c.add_argument("--text-col", default="text")
-    c.add_argument("--id-col", default="doc_id")
-    c.add_argument("--jaccard-threshold", type=float, default=0.8)
-    c.add_argument("--decontam-ngram", type=int, default=8)
-    c.add_argument("--min-tokens", type=int, default=20)
-    c.add_argument("--max-rep-ratio", type=float, default=0.1)
-    c.add_argument("--pack-tokens", type=int, default=512)
-    c.add_argument("--keep-split", default="train")
-    c.add_argument("--checkpoint-dir", default=None,
-                   help="persist the slim post-filter (id, tokens) table "
-                        "here; a rerun that finds it skips the whole "
-                        "dedup/decontamination chain and just re-packs. The "
-                        "verified near-dup edge set also checkpoints (to "
-                        "<dir>.edges), so a failure during decontamination "
-                        "or the gate resumes without redoing LSH")
-    c.set_defaults(fn=cmd_corpus_prep)
 
     args = p.parse_args(argv)
     args.fn(args)

@@ -95,14 +95,10 @@ def entity_type_stats(entity_stats_ds, type_labels=None):
             "num_value_changes": pa.array(out_nvc, type=pa.int64()),
         })
 
-    return explode_ds(entity_stats_ds, explode).groupby(
+    return entity_stats_ds.map_batches(explode, batch_format="pyarrow").groupby(
         ["individual_type", "type_label"]).aggregate(
         Count(alias_name="num_entities"),
         Sum("num_value_changes", alias_name="num_value_changes"))
-
-
-def explode_ds(ds, fn):
-    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def corpus_stats(entity_stats_ds):
@@ -173,8 +169,3 @@ def revision_distribution(entity_stats_ds, exclude_entity_ids=None):
     return ds.groupby("num_revisions").aggregate(
         Count(alias_name="num_entities"))
 
-
-def top_k(ds, key: str, k: int = 10, descending: bool = True):
-    """Top-k rows by a column: sort + limit (reference: nlargest in
-    analysis/scripts/general_analysis.py:99-110)."""
-    return ds.sort(key, descending=descending).limit(k)

@@ -11,15 +11,13 @@ Two consumption shapes:
 """
 from __future__ import annotations
 
-import os
-
 from ..core.differ import DiffConfig
 from ..stages.extract import ChangeExtractor, MultiSinkExtractor
 
 
 def _broadcast_aux(property_labels, sa_types, ao_types):
-    """ray.put the small side tables once so every actor reads the same
-    object-store copy instead of re-shipping per task."""
+    """ray.put the small side tables once so every task reads the same
+    object-store copy, resolved once per worker process."""
     import ray
 
     return (
@@ -30,36 +28,26 @@ def _broadcast_aux(property_labels, sa_types, ao_types):
 
 
 def extract_table(ds, table: str = "value_change", config: DiffConfig | None = None,
-                  property_labels=None, sa_types=None, ao_types=None,
-                  concurrency=None, batch_size=None):
+                  property_labels=None, sa_types=None, ao_types=None):
     """documents Dataset -> Dataset of one logical change table.
 
-    batch_size=None processes one input block per task call — block count
-    (OVERRIDE at read time to ~2x the core count) is the parallelism knob;
-    per-batch slicing only adds overhead here because rows are whole documents.
+    One task call per input block: block count (OVERRIDE at read time to ~2x
+    the core count) is the parallelism knob; per-batch slicing only adds
+    overhead here because rows are whole documents. The extractor instance
+    pickles into each task and tasks land on Ray's prestarted workers
+    immediately (no actor-pool ramp-up latency).
     """
     pl_ref, sa_ref, ao_ref = _broadcast_aux(property_labels, sa_types, ao_types)
-    cfg = (config or DiffConfig()).to_dict()
-    kwargs = dict(config=cfg, property_labels=pl_ref, sa_types=sa_ref,
-                  ao_types=ao_ref, emit=table)
-    if concurrency is not None:
-        # explicit actor pool (useful when aux state is heavy)
-        return ds.map_batches(
-            ChangeExtractor, fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True, concurrency=concurrency)
-    # default: task-based dispatch — an instance pickles into each task, the
-    # broadcast refs resolve once per worker process, and tasks land on Ray's
-    # prestarted workers immediately (no actor-pool ramp-up latency)
-    return ds.map_batches(
-        ChangeExtractor(**kwargs), batch_format="pyarrow",
-        batch_size=batch_size, zero_copy_batch=True)
+    extractor = ChangeExtractor(
+        config=(config or DiffConfig()).to_dict(), property_labels=pl_ref,
+        sa_types=sa_ref, ao_types=ao_ref, emit=table)
+    return ds.map_batches(extractor, batch_format="pyarrow", batch_size=None,
+                          zero_copy_batch=True)
 
 
 def run_extraction(input_path: str, output_dir: str,
                    config: DiffConfig | None = None, property_labels=None,
-                   sa_types=None, ao_types=None, concurrency=None,
-                   batch_size: int = 32, documents_ds=None,
+                   sa_types=None, ao_types=None,
                    target_rows_per_partition: int | None = None):
     """Full multi-table extraction with lineage manifest; returns the manifest
     as a small materialized Dataset (one row per partition).
@@ -68,31 +56,22 @@ def run_extraction(input_path: str, output_dir: str,
     input — never Ray batch boundaries, which vary run to run — so a re-run
     with the same input + output_dir skips exactly the partitions whose
     manifest files exist and recomputes only the missing ones, with no
-    duplicate part files. `documents_ds`/`batch_size` are accepted for API
-    compatibility and ignored (the input must be addressable parquet/Lance).
+    duplicate part files. The input must be addressable parquet/Lance.
     """
     import ray.data
 
     from ..stages.extract import list_partition_specs, resolve_filesystem
 
-    del documents_ds, batch_size
     out_fs, out_root = resolve_filesystem(output_dir)
     out_fs.create_dir(out_root, recursive=True)
     specs = list_partition_specs(
         input_path, target_rows_per_partition=target_rows_per_partition)
-    ds = ray.data.from_items(specs)
     pl_ref, sa_ref, ao_ref = _broadcast_aux(property_labels, sa_types, ao_types)
-    cfg = (config or DiffConfig()).to_dict()
-    kwargs = dict(output_dir=output_dir, config=cfg, property_labels=pl_ref,
-                  sa_types=sa_ref, ao_types=ao_ref)
-    if concurrency is not None:
-        manifest = ds.map_batches(
-            MultiSinkExtractor, fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow", batch_size=1, concurrency=concurrency)
-    else:
-        manifest = ds.map_batches(
-            MultiSinkExtractor(**kwargs), batch_format="pyarrow", batch_size=1)
-    mat = manifest.materialize()
+    sink = MultiSinkExtractor(
+        output_dir=output_dir, config=(config or DiffConfig()).to_dict(),
+        property_labels=pl_ref, sa_types=sa_ref, ao_types=ao_ref)
+    mat = ray.data.from_items(specs).map_batches(
+        sink, batch_format="pyarrow", batch_size=1).materialize()
     # persist the run-level manifest next to the outputs (throughput accounting,
     # the analog of the reference's per-file metrics CSV, scripts/file_parser.py:393-417)
     mat.write_parquet(f"{output_dir.rstrip('/')}/_run_manifest")
@@ -159,7 +138,7 @@ def run_enrichment(output_dir: str, closure_dir: str | None = None,
     return results
 
 
-def materialize_graph(value_change_ds, salt_buckets: int = 0):
+def materialize_graph(value_change_ds):
     """Materialize the CURRENT knowledge graph from the change history:
     (subj=entity_id, pred=property_id, obj=value) triples that exist after
     replaying every change in revision order.
@@ -168,9 +147,8 @@ def materialize_graph(value_change_ds, salt_buckets: int = 0):
     each block) -> one groupby shuffle on the statement key
     (entity_id, property_id, value_id) -> final per-key replay -> filter
     DELETEd statements. The shuffle moves one row per statement per block,
-    not the full history. Hot entities spread across reducers because the key
-    includes value_id (statement id); salt_buckets adds hash salting on top
-    for pathological single-statement edit storms.
+    not the full history. Hot entities spread across reducers because the
+    bucket is a hash of the full key, value_id (statement id) included.
     """
     import numpy as np
     import pyarrow as pa
@@ -178,7 +156,7 @@ def materialize_graph(value_change_ds, salt_buckets: int = 0):
     from ..stages.distributed import default_reduce_buckets, salt_from_columns
 
     key_cols = ["entity_id", "property_id", "value_id"]
-    buckets = salt_buckets or default_reduce_buckets()
+    buckets = default_reduce_buckets()
 
     def local_last(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()

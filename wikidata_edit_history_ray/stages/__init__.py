@@ -1,2 +1,2 @@
-"""Ray Data batch transforms: extraction, enrichment, dedup, text analysis,
-similarity search."""
+"""Ray Data batch transforms: change extraction and the multi-table sink,
+enrichment, output schemas, and the shuffle helpers of the keyed reducers."""

@@ -1,16 +1,16 @@
 """The change-extraction stage: per-doc diffing inside `map_batches`.
 
-`ChangeExtractor` is a callable CLASS — passed to
-``ds.map_batches(ChangeExtractor, fn_constructor_kwargs=..., concurrency=N,
-batch_format="pyarrow")`` it becomes an actor pool whose per-worker setup
-(differ construction, aux dictionary loads / ``ray.get`` of broadcast refs)
-runs once per actor, mirroring the reference's per-process CSV dict loading
-(scripts/file_parser.py:84-88) without re-shipping state per batch.
+`ChangeExtractor` is a callable class whose instance is passed to
+``ds.map_batches(..., batch_format="pyarrow")``: it pickles into each task,
+and its per-worker setup (differ construction, ``ray.get`` of the broadcast
+aux tables) runs lazily, once per worker process, mirroring the reference's
+per-process CSV dict loading (scripts/file_parser.py:84-88) without
+re-shipping state per batch.
 
 All diff state is per-document, so extraction is embarrassingly parallel and
 needs no shuffle; doc-level skew (hot entities with tens of thousands of
-revisions) surfaces as long tasks, mitigated upstream by splitting blocks on a
-span-count budget (sources/io.py).
+revisions) surfaces as long tasks, absorbed by task waves over many input
+blocks.
 """
 from __future__ import annotations
 
@@ -108,8 +108,8 @@ def rows_to_table(table_name: str, rows: list, routing: list | None) -> pa.Table
 
 
 class ChangeExtractor:
-    """Actor-pool stage: documents batch in → one logical table (or a tagged
-    union of all tables) out.
+    """Task stage: documents batch in → one logical table (or a tagged union
+    of all tables) out.
 
     Parameters
     - config: DiffConfig kwargs dict
@@ -121,8 +121,8 @@ class ChangeExtractor:
     def __init__(self, config: dict | None = None, property_labels=None,
                  sa_types=None, ao_types=None, emit: str = "value_change"):
         # broadcast handles resolve lazily (in the worker, once per process):
-        # the same class works as an actor-pool callable AND as a pickled
-        # instance dispatched task-by-task to Ray's prestarted workers
+        # the pickled instance is dispatched task-by-task to Ray's
+        # prestarted workers
         self._config = config or {}
         self._property_labels = property_labels
         self._sa_types = sa_types

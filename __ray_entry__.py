@@ -267,9 +267,8 @@ def _q_kg_features_entity_enriched(sf_dir: str):
 
 def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per KG pipeline surface (21 `kg_*` queries). Every key has
-    a matching oracle_sql() entry; tests/test_driver_contract.py runs all of
-    them at sf0.001 (GRAFT_CONTRACT_SF=/root/testdata/sf0.01 runs the same
-    sweep at sf0.01)."""
+    a matching oracle_sql() entry, and the contract test in tests/ compares
+    every pair at sf0.001."""
     return {
         # --- the 12 change-history tables (projected) and the errors table ---
         "kg_value_change": _q_kg("value_change"),

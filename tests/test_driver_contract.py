@@ -10,8 +10,8 @@ import duckdb
 import pandas as pd
 import pytest
 
-# sf0.001 keeps the 21-query sweep short in the suite; set
-# GRAFT_CONTRACT_SF=/root/testdata/sf0.01 to run the same sweep at sf0.01
+# sf0.001 keeps the 21-query sweep short in the suite; point
+# GRAFT_CONTRACT_SF at another tier (e.g. sf0.01) to run the same sweep there
 SF = os.environ.get("GRAFT_CONTRACT_SF", "/root/testdata/sf0.001")
 
 

@@ -10,7 +10,7 @@ import duckdb
 import pandas as pd
 import pytest
 
-# sf0.001 keeps the 21-query sweep short in the suite; point
+# sf0.001 keeps the 66-query sweep short in the suite; point
 # GRAFT_CONTRACT_SF at another tier (e.g. sf0.01) to run the same sweep there
 SF = os.environ.get("GRAFT_CONTRACT_SF", "/root/testdata/sf0.001")
 
@@ -33,8 +33,12 @@ def contract():
 
 @pytest.fixture(scope="module")
 def con():
-    # every oracle reads its own expectation parquet through read_parquet
-    return duckdb.connect()
+    c = duckdb.connect()
+    for t in ("region", "nation", "customer", "supplier", "part", "orders",
+              "lineitem", "events", "documents", "embeddings"):
+        c.execute(f"CREATE VIEW {t} AS SELECT * "
+                  f"FROM read_parquet('{SF}/{t}.parquet')")
+    return c
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:

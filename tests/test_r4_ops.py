@@ -442,7 +442,7 @@ class TestDsirLogratio:
 class TestReviewFixesR4:
     """Regression pins for the round-4 review findings: tokenizer-lowering
     consistency, NULL-text parity, quota floor arithmetic, schema-stable
-    empty outputs, bench-generator bounds."""
+    empty outputs."""
 
     def test_scorers_survive_special_casing_unicode(self, ray_session):
         """U+0130 lowers differently under Arrow utf8_lower vs Python
@@ -494,15 +494,6 @@ class TestReviewFixesR4:
         assert out.schema().names == ["doc_id", "grp"]
         assert out.select_columns(["doc_id"]).count() == 0
 
-    def test_semdedup_scale_bounds_rejected(self):
-        from bench import run_semdedup_scale
-
-        with pytest.raises(ValueError, match="multiple of"):
-            run_semdedup_scale("/root/testdata/sf0.01", 4, n_vecs=1_050_000)
-        with pytest.raises(ValueError, match="must fit one shard"):
-            run_semdedup_scale("/root/testdata/sf0.01", 4, n_vecs=3_000_000)
-
-
 class TestEpochShuffle:
     def test_exact_permutation_matches_bruteforce(self, ray_session):
         """Positions are the md5-rank permutation, exact across ranges and
@@ -533,7 +524,7 @@ class TestEpochShuffle:
 
 
 class TestReviewFixesR4b:
-    """Second review pass pins: kmeans degeneracy, sessionize null keys."""
+    """Second review pass pin: kmeans degeneracy."""
 
     def test_kmeans_fewer_vectors_than_k(self, ray_session):
         """k degrades to n when the dataset is smaller than k; empty input
@@ -557,33 +548,6 @@ class TestReviewFixesR4b:
              "embedding": pa.array([], type=pa.list_(pa.float64()))}))
         with pytest.raises(ValueError, match="at least one vector"):
             kmeans_fit(empty, k=2)
-
-    def test_sessionize_null_keys_one_partition(self, ray_session):
-        """NULL keys form ONE partition (SQL PARTITION BY semantics) even
-        when pandas surfaces the null-padded int column as float NaN."""
-        import datetime as dt
-
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.windows import sessionize
-
-        base = dt.datetime(2024, 1, 1)
-        t = pa.table({
-            "event_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "user_id": pa.array([None, None, None, 7], type=pa.int64()),
-            "ts": pa.array([base,
-                            base + dt.timedelta(seconds=10000),
-                            base + dt.timedelta(seconds=10100),
-                            base], type=pa.timestamp("us")),
-        })
-        out = sessionize(ray.data.from_arrow(t), "user_id", "ts", 1800.0,
-                         id_col="event_id").to_pandas() \
-            .set_index("event_id").session_id
-        # events 1..3 share the NULL partition: 10000s gap starts session 2,
-        # the 100s gap does not
-        assert out.loc[1] == 1 and out.loc[2] == 2 and out.loc[3] == 2
-        assert out.loc[4] == 1
-
 
 class TestSemDedupFilter:
     def test_semdedup_filter_keeps_exemplars(self, ray_session):
@@ -722,43 +686,6 @@ class TestCorpusDiff:
         assert list(one.status) == ["added"]
         other = corpus_diff(full, empty).to_pandas()
         assert list(other.status) == ["removed"]
-
-
-class TestCheckpointTornDir:
-    def test_stale_torn_files_cleared_before_rewrite(self, ray_session,
-                                                     tmp_path):
-        """A sentinel-less (torn) checkpoint directory must be CLEARED when
-        the chain re-runs — write_parquet appends, and marking a mixed
-        directory complete would duplicate rows in the pack and poison
-        every future resume."""
-        import pyarrow.parquet as pq
-        import ray.data
-
-        from wikidata_edit_history_ray.pipelines.corpus_prep import \
-            llm_corpus_prep
-
-        docs = ray.data.from_arrow(pa.table({
-            "doc_id": list(range(100)),
-            "text": ["unique words %d " % i + " ".join(
-                "tok%d%d" % (i, j) for j in range(30)) for i in range(100)]}))
-        bench = ray.data.from_arrow(pa.table(
-            {"doc_id": [999], "text": ["no overlap at all here"]}))
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        # torn leftovers from an interrupted attempt: block files, NO
-        # sentinel — with ids far outside the real corpus
-        pq.write_table(pa.table({
-            "doc_id": pa.array([777777], type=pa.int64()),
-            "ws_token_count": pa.array([5], type=pa.int64())}),
-            ckpt / "torn-000.parquet")
-
-        out = llm_corpus_prep(docs, bench, checkpoint_dir=str(ckpt)) \
-            .to_pandas()
-        assert 777777 not in set(out.doc_id)
-        # and the now-complete checkpoint resumes to the identical result
-        out2 = llm_corpus_prep(None, None, checkpoint_dir=str(ckpt)) \
-            .to_pandas()
-        assert sorted(out.doc_id) == sorted(out2.doc_id)
 
 
 class TestNullStratum:

@@ -271,26 +271,6 @@ class TestStringIdCanonicalFilter:
             docs, jaccard_threshold=0.5, num_perm=32, bands=16).to_pandas()
         assert sorted(kept.doc_id) == ids
 
-    def test_sessionize_nan_keys_one_partition(self, ray_session):
-        """Arrow batches carry float NaN (not null) straight from parquet;
-        NaN keys must still form ONE partition like the pandas isna()
-        semantics the Arrow reducer replaced (r5 review finding)."""
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.windows import sessionize
-
-        nan = float("nan")
-        t = pa.table({
-            "event_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "user_id": pa.array([nan, nan, nan, 7.0], type=pa.float64()),
-            "ts": pa.array([0.0, 10000.0, 10100.0, 0.0],
-                           type=pa.float64())})
-        out = sessionize(ray.data.from_arrow(t), "user_id", "ts", 1800.0,
-                         id_col="event_id").to_pandas() \
-            .set_index("event_id").session_id
-        assert out.loc[1] == 1 and out.loc[2] == 2 and out.loc[3] == 2
-        assert out.loc[4] == 1
-
     def test_cc_rejects_string_endpoints_loudly(self, ray_session):
         import ray.data
 
@@ -345,117 +325,6 @@ class TestSemdedupChunkedScan:
         for n in (1, 10, 1_000, 2_000, 10_000, 1_000_000):
             chunk = max(1, budget // max(1, n))
             assert chunk * n <= max(budget, n)
-
-
-class TestEdgeCheckpoint:
-    """VERDICT r4 task 4: the verified near-dup edge set checkpoints inside
-    the flagship — a failure DURING decontamination resumes from the edges
-    without re-running LSH + verify."""
-
-    BASE = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
-            "lambda mu nu xi omicron pi rho sigma tau upsilon phi chi")
-
-    def _inputs(self):
-        import ray.data
-
-        texts = []
-        for i in range(80):
-            if i < 4:       # one near-dup family -> non-empty edge set
-                texts.append(self.BASE + f" tail{i}")
-            else:
-                texts.append(" ".join(f"u{i}w{j}" for j in range(25)))
-        docs = ray.data.from_arrow(pa.table(
-            {"doc_id": list(range(80)), "text": texts}))
-        bench = ray.data.from_arrow(pa.table(
-            {"doc_id": [999], "text": ["totally unrelated benchmark line"]}))
-        return docs, bench
-
-    KW = dict(jaccard_threshold=0.5, lsh_num_perm=32, lsh_bands=16,
-              min_tokens=5)
-
-    def test_interrupt_after_verify_resumes_without_lsh(
-            self, ray_session, tmp_path, monkeypatch):
-        from wikidata_edit_history_ray.pipelines import corpus_prep
-        from wikidata_edit_history_ray.stages import dedup_ops
-
-        docs, bench = self._inputs()
-        expect = corpus_prep.llm_corpus_prep(docs, bench, **self.KW) \
-            .to_pandas()
-        assert len(expect) > 0
-
-        ckpt = tmp_path / "ck"
-
-        def boom(*a, **k):
-            raise RuntimeError("interrupted during decontamination")
-
-        with monkeypatch.context() as m:
-            m.setattr(corpus_prep, "decontaminate_filter", boom)
-            with pytest.raises(RuntimeError, match="interrupted"):
-                corpus_prep.llm_corpus_prep(
-                    docs, bench, checkpoint_dir=str(ckpt), **self.KW)
-        # the edge checkpoint completed before the crash...
-        import os
-
-        assert os.path.exists(
-            os.path.join(str(ckpt) + ".edges", "_SUCCESS.json"))
-        assert not (ckpt / "_SUCCESS.json").exists()
-
-        # ...and the rerun must NOT re-run LSH: poison it and finish
-        with monkeypatch.context() as m:
-            m.setattr(dedup_ops, "minhash_lsh_verified_edges", boom)
-            out = corpus_prep.llm_corpus_prep(
-                docs, bench, checkpoint_dir=str(ckpt), **self.KW).to_pandas()
-        assert sorted(out.doc_id) == sorted(expect.doc_id)
-        # the full survivor checkpoint then resumes as before
-        assert (ckpt / "_SUCCESS.json").exists()
-        out2 = corpus_prep.llm_corpus_prep(
-            None, None, checkpoint_dir=str(ckpt), **self.KW).to_pandas()
-        assert sorted(out2.doc_id) == sorted(expect.doc_id)
-
-    def test_edge_checkpoint_refuses_changed_lsh_params(
-            self, ray_session, tmp_path, monkeypatch):
-        from wikidata_edit_history_ray.pipelines import corpus_prep
-
-        docs, bench = self._inputs()
-        ckpt = tmp_path / "ck2"
-
-        def boom(*a, **k):
-            raise RuntimeError("interrupted")
-
-        with monkeypatch.context() as m:
-            m.setattr(corpus_prep, "decontaminate_filter", boom)
-            with pytest.raises(RuntimeError):
-                corpus_prep.llm_corpus_prep(
-                    docs, bench, checkpoint_dir=str(ckpt), **self.KW)
-        kw = dict(self.KW, jaccard_threshold=0.7)
-        with pytest.raises(ValueError, match="different"):
-            corpus_prep.llm_corpus_prep(
-                docs, bench, checkpoint_dir=str(ckpt), **kw)
-
-    def test_decontam_param_change_reuses_edges(
-            self, ray_session, tmp_path, monkeypatch):
-        """Changing a post-dedup parameter (decontam_n) invalidates the
-        SURVIVOR checkpoint but must reuse the edge checkpoint."""
-        from wikidata_edit_history_ray.pipelines import corpus_prep
-        from wikidata_edit_history_ray.stages import dedup_ops
-
-        docs, bench = self._inputs()
-        ckpt = tmp_path / "ck3"
-
-        def boom(*a, **k):
-            raise RuntimeError("interrupted")
-
-        with monkeypatch.context() as m:
-            m.setattr(corpus_prep, "decontaminate_filter", boom)
-            with pytest.raises(RuntimeError):
-                corpus_prep.llm_corpus_prep(
-                    docs, bench, checkpoint_dir=str(ckpt), **self.KW)
-        with monkeypatch.context() as m:
-            m.setattr(dedup_ops, "minhash_lsh_verified_edges", boom)
-            out = corpus_prep.llm_corpus_prep(
-                docs, bench, checkpoint_dir=str(ckpt), decontam_n=6,
-                **self.KW).to_pandas()
-        assert len(out) > 0
 
 
 class TestMaterializePacksPinnedSlim:

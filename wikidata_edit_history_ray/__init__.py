@@ -11,7 +11,8 @@ change tables, revert tags, per-datatype ML features and per-entity stats — al
 Layout:
 - ``core``      pure-Python change-extraction semantics (no Ray dependency)
 - ``sources``   input readers, synthetic corpus + aux dimension-table generators
-- ``stages``    Ray Data batch transforms (extract, enrich) and shuffle helpers
+- ``stages``    Ray Data batch transforms (extract, enrich, dedup, text,
+  similarity, sampling, packing) and shuffle helpers
 - ``pipelines`` end-to-end pipelines (extraction, enrichment, graph replay,
   keyed dedup, analysis aggregates)
 - ``state``     checkpoint manifests, transitive-closure cache

@@ -1,2 +1,4 @@
 """Ray Data batch transforms: change extraction and the multi-table sink,
-enrichment, output schemas, and the shuffle helpers of the keyed reducers."""
+enrichment, output schemas, the shuffle helpers of the keyed reducers, and
+the corpus operators (dedup, text analysis, similarity search, clustering,
+profiling, sampling, packing)."""

@@ -35,15 +35,6 @@ def _sha1_int(b: bytes) -> int:
 # exact dedup
 # --------------------------------------------------------------------------
 
-def add_content_hash(batch: pa.Table, text_col: str = "text",
-                     out_col: str = "content_hash") -> pa.Table:
-    texts = batch.column(text_col).to_pylist()
-    return batch.append_column(
-        out_col,
-        pa.array([hashlib.sha1((t or "").encode("utf-8")).hexdigest() for t in texts],
-                 type=pa.string()))
-
-
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 buckets: int | None = None):
     """Keep the min-id row per exact content hash; deterministic tie-break.
@@ -432,8 +423,7 @@ def near_dup_canonical_filter(ds, text_col: str = "text",
     one representative (the min id) per connected component of the verified
     LSH edge set, drop every other cluster member, pass singletons through.
 
-    This is the composition the training-data pipeline chains
-    (pipelines/corpus_prep.llm_corpus_prep): `minhash_lsh_verified_edges`
+    The composition: `minhash_lsh_verified_edges`
     (slim sketch shuffle + exact n-gram Jaccard verify) -> connected
     components over the EDGE-TOUCHED nodes only (edge-set-sized, never
     corpus-sized — untouched docs are singletons by construction and never
@@ -604,18 +594,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         x *= np.uint64(0x0101010101010101)
     return (x >> np.uint64(56)).astype(np.int64)
-
-
-def simhash64(text: str) -> int:
-    """Classic 64-bit simhash over word tokens (scalar wrapper)."""
-    return int(simhash64_batch([text])[0])
-
-
-def add_simhash(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    texts = batch.column(text_col).to_pylist()
-    hashes = simhash64_batch(texts)
-    return batch.append_column(
-        "simhash", pa.array(hashes.astype(np.int64), type=pa.int64()))
 
 
 def _explode_simhash_blocks(batch: pa.Table, text_col: str, id_col: str,

@@ -40,9 +40,8 @@ def pack_sequences(ds, token_col: str, max_tokens: int,
     # materialize the SLIM projection once: the prefix sum needs three
     # passes over it (min/max bounds, per-range totals, per-range finalize)
     # plus whatever the caller does with the result — without this, every
-    # pass re-executes the full upstream lineage (in a composed pipeline
-    # like llm_corpus_prep that is the entire dedup + decontamination
-    # chain, measured 4x the whole job). The pin is 16 bytes/row
+    # pass re-executes the full upstream lineage (in a composed dedup +
+    # decontamination chain, measured 4x the whole job). The pin is 16 bytes/row
     # (order, tokens) — ~160 GB at 10^10 docs, object-store-resident
     # across a cluster and spillable; the text columns are NOT included.
     slim = ds.select_columns([order_col, token_col]).materialize()

@@ -327,45 +327,9 @@ def decontaminate_flags(ds, bench_ds, text_col: str = "text",
                             buckets=buckets)
 
 
-def decontaminate_filter(ds, bench_ds, text_col: str = "text",
-                         id_col: str = "doc_id", n: int = 3,
-                         broadcast_limit: int = 2_000_000,
-                         buckets: int | None = None):
-    """Row-keeping sibling of `decontaminate_flags`: DROP every doc sharing
-    any word n-gram with the benchmark set, returning the surviving rows with
-    all their columns — the shape a composed training-data pipeline chains
-    (llm_corpus_prep). Same dual path: broadcast gram set -> one streaming
-    filter pass (zero shuffle); beyond `broadcast_limit` the bucketed
-    gram-hash hit pass feeds the distributed anti-join
-    (stages/distributed.filter_out_ids)."""
-    from .distributed import (_get_broadcast_set, default_reduce_buckets,
-                              filter_out_ids)
-
-    bench_mat = _bench_gram_table(bench_ds, text_col, n)
-
-    if bench_mat.count() <= broadcast_limit:
-        gram_refs = tuple(bench_mat.to_arrow_refs())
-
-        def probe_filter(batch: pa.Table) -> pa.Table:
-            bench = _get_broadcast_set(gram_refs, "gram")
-            keep = [i for i, t in enumerate(
-                batch.column(text_col).to_pylist())
-                if _doc_ngrams(t, n).isdisjoint(bench)]
-            return batch.take(pa.array(keep, type=pa.int64()))
-
-        return ds.map_batches(probe_filter, batch_format="pyarrow")
-
-    if buckets is None:
-        buckets = default_reduce_buckets()
-    hit_ids = _contamination_hit_ids(ds, bench_mat, text_col, id_col, n,
-                                     buckets)
-    return filter_out_ids(ds, hit_ids, id_col, drop_col=id_col,
-                          broadcast_limit=broadcast_limit, buckets=buckets)
-
-
 def _contamination_hit_ids(ds, bench_mat, text_col: str, id_col: str, n: int,
                            buckets: int):
-    """Shuffle path shared by flags/filter: corpus doc-grams and benchmark
+    """Shuffle path of decontaminate_flags: corpus doc-grams and benchmark
     grams co-partition on a 128-bit gram-hash bucket; each bucket emits its
     hit doc-ids locally -> Dataset of (id_col) hit ids."""
     id_type = ds.schema().types[ds.schema().names.index(id_col)]

@@ -133,12 +133,33 @@ def _docs_ds(sf_dir: str):
     return read_documents(_corpus_path(sf_dir), override_num_blocks=nblocks)
 
 
-def _kg_table(sf_dir: str, table: str):
-    from wikidata_edit_history_ray.pipelines.kg import extract_table
+_EXTRACTIONS: dict = {}
+
+
+def _kg_table(sf_dir: str, table: str, config=None):
+    """One table of the KG extraction of `sf_dir`'s corpus. `run_extraction`
+    runs once per (corpus, config) per process, into a temp dir under
+    _CACHE_DIR that is removed at exit."""
+    import atexit
+    import json
+    import shutil
+    import tempfile
+
+    from wikidata_edit_history_ray.pipelines.kg import (read_table,
+                                                        run_extraction)
     from wikidata_edit_history_ray.sources.corpus import AO_TYPES, SA_TYPES
 
-    return extract_table(_docs_ds(sf_dir), table, sa_types=set(SA_TYPES),
-                         ao_types=set(AO_TYPES))
+    corpus = _corpus_path(sf_dir)
+    key = (corpus, json.dumps(config.to_dict() if config else None,
+                              sort_keys=True))
+    if key not in _EXTRACTIONS:
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        out = tempfile.mkdtemp(prefix="kg_extract_", dir=_CACHE_DIR)
+        atexit.register(shutil.rmtree, out, ignore_errors=True)
+        run_extraction(corpus, out, config=config, sa_types=set(SA_TYPES),
+                       ao_types=set(AO_TYPES))
+        _EXTRACTIONS[key] = out
+    return read_table(_EXTRACTIONS[key], table)
 
 
 def entry() -> Any:
@@ -630,13 +651,9 @@ def _q_kg_errors(sf_dir: str):
     """Wide-row guard surface: docs whose span count exceeds the per-doc
     budget are routed to the errors table (the hot docs in this corpus)."""
     from wikidata_edit_history_ray.core.differ import DiffConfig
-    from wikidata_edit_history_ray.pipelines.kg import extract_table
-    from wikidata_edit_history_ray.sources.corpus import AO_TYPES, SA_TYPES
 
-    ds = extract_table(_docs_ds(sf_dir), "errors",
-                       config=DiffConfig(max_spans_per_doc=500),
-                       sa_types=set(SA_TYPES), ao_types=set(AO_TYPES))
-    return ds.select_columns(["doc_id"])
+    return _kg_table(sf_dir, "errors", DiffConfig(max_spans_per_doc=500)) \
+        .select_columns(["doc_id"])
 
 
 def _q_kg_property_stats(sf_dir: str):

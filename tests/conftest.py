@@ -34,3 +34,31 @@ def corpus_parquet(tmp_path_factory, small_corpus):
     path = tmp_path_factory.mktemp("corpus") / "docs.parquet"
     pq.write_table(small_corpus[0], str(path), row_group_size=20)
     return str(path)
+
+
+@pytest.fixture
+def ray_data_log(ray_session):
+    """Records (INFO and up) the `ray.data` logger emits during the test,
+    with 'Starting execution of Dataset' announced for every execution."""
+    import logging
+
+    import ray.data
+
+    class _Collect(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    records = []
+    handler = _Collect(logging.INFO)
+    logger = logging.getLogger("ray.data")
+    ctx = ray.data.DataContext.get_current()
+    level, announce = logger.level, ctx.print_on_execution_start
+    logger.setLevel(logging.INFO)
+    ctx.print_on_execution_start = True
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        ctx.print_on_execution_start = announce

@@ -155,8 +155,7 @@ def extract(docs: pa.Table):
     from wikidata_edit_history_ray.stages.extract import ChangeExtractor
 
     return ChangeExtractor(
-        sa_types=corpus.SA_TYPES, ao_types=corpus.AO_TYPES,
-        emit="all").extract_batch(docs)
+        sa_types=corpus.SA_TYPES, ao_types=corpus.AO_TYPES).extract_batch(docs)
 
 
 def _rows(table: pa.Table) -> list:

@@ -38,7 +38,7 @@ FEATURE_TABLES = ("features_text", "features_time", "features_quantity",
 def _engine_outputs(docs, class_filters):
     ex = ChangeExtractor(
         config=DiffConfig(class_filters=class_filters).to_dict(),
-        sa_types=sorted(SA_TYPES), ao_types=sorted(AO_TYPES), emit="all")
+        sa_types=sorted(SA_TYPES), ao_types=sorted(AO_TYPES))
     tables, errors = ex.extract_batch(docs)
     assert not errors
     return tables

@@ -201,13 +201,14 @@ class TestEnrichment:
 
 class TestAnalysis:
     @pytest.fixture(scope="class")
-    def vc_and_stats(self, ray_session, corpus_parquet):
-        from wikidata_edit_history_ray.pipelines.kg import extract_table
-        from wikidata_edit_history_ray.sources.io import read_documents
+    def vc_and_stats(self, ray_session, corpus_parquet, tmp_path_factory):
+        from wikidata_edit_history_ray.pipelines.kg import (read_table,
+                                                            run_extraction)
 
-        ds = read_documents(corpus_parquet)
-        vc = extract_table(ds, "value_change").materialize()
-        es = extract_table(ds, "entity_stats").materialize()
+        out = str(tmp_path_factory.mktemp("analysis"))
+        run_extraction(corpus_parquet, out)
+        vc = read_table(out, "value_change").materialize()
+        es = read_table(out, "entity_stats").materialize()
         return vc, es
 
     def test_property_stats_vs_duckdb(self, vc_and_stats):

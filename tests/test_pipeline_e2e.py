@@ -20,13 +20,14 @@ def _pr(got: set, expected: set):
 
 class TestExtractionParity:
     @pytest.fixture(scope="class")
-    def extracted(self, ray_session, corpus_parquet):
-        from wikidata_edit_history_ray.pipelines.kg import extract_table
-        from wikidata_edit_history_ray.sources.io import read_documents
+    def extracted(self, ray_session, corpus_parquet, tmp_path_factory):
+        from wikidata_edit_history_ray.pipelines.kg import (read_table,
+                                                            run_extraction)
 
-        ds = read_documents(corpus_parquet)
+        out = str(tmp_path_factory.mktemp("parity"))
+        run_extraction(corpus_parquet, out)
         return {
-            t: extract_table(ds, t).take_all()
+            t: read_table(out, t).take_all()
             for t in ("value_change", "qualifier_change", "reference_change",
                       "revision", "doc_spans")
         }
@@ -120,22 +121,28 @@ class TestMultiSinkAndResume:
 
 
 class TestDedup:
-    def test_dedup_idempotent_on_duplicated_input(self, ray_session, small_corpus):
-        import ray
-
-        from wikidata_edit_history_ray.pipelines.kg import dedup_changes, extract_table
+    def test_dedup_idempotent_on_duplicated_input(self, ray_session,
+                                                  small_corpus, tmp_path):
+        from wikidata_edit_history_ray.pipelines.kg import (dedup_changes,
+                                                            read_table,
+                                                            run_extraction)
 
         docs, _ = small_corpus
         sub = docs.slice(0, 20)
-        ds = ray.data.from_arrow(sub)
-        vc = extract_table(ds, "value_change")
-        once = vc.take_all()
-        # double the input: same docs twice -> exact dup rows across partitions
-        ds2 = ray.data.from_arrow(sub).union(ray.data.from_arrow(sub))
-        vc2 = extract_table(ds2, "value_change")
+        # double the input: same docs in two files -> exact dup rows across
+        # partitions
+        src = tmp_path / "docs"
+        src.mkdir()
+        for name in ("a", "b"):
+            pq.write_table(sub, str(src / f"{name}.parquet"))
+        out = str(tmp_path / "out")
+        parts = run_extraction(str(src), out).take_all()
+        once = [json.loads(m["rows_per_table"])["value_change"] for m in parts]
+        assert len(once) == 2 and once[0] == once[1] > 0
         deduped = dedup_changes(
-            vc2, ["revision_id", "property_id", "value_id", "change_target"])
-        assert deduped.count() == len(once)
+            read_table(out, "value_change"),
+            ["revision_id", "property_id", "value_id", "change_target"])
+        assert deduped.count() == once[0]
 
 
 def _cli_extract(corpus, out, aux):

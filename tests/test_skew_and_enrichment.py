@@ -3,6 +3,22 @@ with one hot doc among many small docs; second-pass enrichment pipeline."""
 import pytest
 
 
+def _extract(docs, root, copies=1, **kw) -> str:
+    """Write `docs` to `copies` parquet files under root, run one
+    run_extraction over them; returns the output dir."""
+    import pyarrow.parquet as pq
+
+    from wikidata_edit_history_ray.pipelines.kg import run_extraction
+
+    src = root / "docs"
+    src.mkdir()
+    for i in range(copies):
+        pq.write_table(docs, str(src / f"copy-{i}.parquet"))
+    out = str(root / "out")
+    run_extraction(str(src), out, **kw)
+    return out
+
+
 @pytest.fixture(scope="module")
 def hot_corpus(ray_session):
     from wikidata_edit_history_ray.sources.corpus import make_corpus
@@ -13,15 +29,14 @@ def hot_corpus(ray_session):
 
 
 class TestSaltedDedup:
-    def test_salted_equals_unsalted(self, ray_session, hot_corpus):
-        import ray
-
-        from wikidata_edit_history_ray.pipelines.kg import dedup_changes, extract_table
+    def test_salted_equals_unsalted(self, ray_session, hot_corpus, tmp_path):
+        from wikidata_edit_history_ray.pipelines.kg import (dedup_changes,
+                                                            read_table)
 
         pk = ["revision_id", "property_id", "value_id", "change_target"]
         # duplicate the input so real duplicate keys exist across partitions
-        ds = ray.data.from_arrow(hot_corpus).union(ray.data.from_arrow(hot_corpus))
-        vc = extract_table(ds, "value_change").materialize()
+        out = _extract(hot_corpus, tmp_path, copies=2)
+        vc = read_table(out, "value_change").materialize()
 
         plain = dedup_changes(vc, pk).select_columns(pk).take_all()
         salted = dedup_changes(vc, pk, salt_buckets=8).select_columns(pk).take_all()
@@ -30,13 +45,12 @@ class TestSaltedDedup:
         # exactly one row per PK
         assert len({key(r) for r in salted}) == len(salted)
 
-    def test_hot_doc_extraction_correct(self, ray_session, hot_corpus):
-        import ray
+    def test_hot_doc_extraction_correct(self, ray_session, hot_corpus,
+                                        tmp_path):
+        from wikidata_edit_history_ray.pipelines.kg import read_table
 
-        from wikidata_edit_history_ray.pipelines.kg import extract_table
-
-        ds = ray.data.from_arrow(hot_corpus)
-        es = extract_table(ds, "entity_stats").take_all()
+        es = read_table(_extract(hot_corpus, tmp_path),
+                        "entity_stats").take_all()
         hot = [r for r in es if r["num_revisions"] >= 290]
         assert len(hot) == 5  # every 10th of 60 docs (indices 10..50)
         assert all(r["num_value_change_updates"] >= 280 for r in hot)
@@ -71,21 +85,23 @@ class TestEnrichmentPipeline:
 
 
 class TestWideDocGuard:
-    def test_over_limit_docs_routed_to_errors(self, ray_session):
-        import ray
-
+    def test_over_limit_docs_routed_to_errors(self, ray_session, tmp_path):
         from wikidata_edit_history_ray.core.differ import DiffConfig
-        from wikidata_edit_history_ray.pipelines.kg import extract_table
+        from wikidata_edit_history_ray.pipelines.kg import read_table
         from wikidata_edit_history_ray.sources.corpus import make_corpus
 
         docs, _ = make_corpus(30, seed=3, hot_doc_revisions=200, hot_doc_every=10)
-        ds = ray.data.from_arrow(docs)
-        cfg = DiffConfig(max_spans_per_doc=100)
-        errs = extract_table(ds, "errors", config=cfg).take_all()
+        (tmp_path / "guarded").mkdir()
+        (tmp_path / "full").mkdir()
+        guarded = _extract(docs, tmp_path / "guarded",
+                           config=DiffConfig(max_spans_per_doc=100))
+        full = _extract(docs, tmp_path / "full")
+        errs = read_table(guarded, "errors").take_all()
         assert len(errs) == 2
         assert all("WideDocSkipped" in e["error"] for e in errs)
-        n_guarded = extract_table(ds, "entity_stats", config=cfg).count()
-        n_full = extract_table(ds, "entity_stats").count()
+        assert read_table(full, "errors").count() == 0
+        n_guarded = read_table(guarded, "entity_stats").count()
+        n_full = read_table(full, "entity_stats").count()
         assert n_guarded == n_full - 2
 
 
@@ -147,9 +163,7 @@ class TestPartitionedLabelJoin:
     def test_matches_broadcast_path(self, ray_session, tmp_path):
         """The hash-partitioned label join produces IDENTICAL output to the
         broadcast-dict path on the same (larger-than-usual) label table."""
-        import ray.data
-
-        from wikidata_edit_history_ray.pipelines.kg import extract_table
+        from wikidata_edit_history_ray.pipelines.kg import read_table
         from wikidata_edit_history_ray.sources.corpus import (AO_TYPES,
                                                               SA_TYPES,
                                                               make_corpus)
@@ -158,9 +172,10 @@ class TestPartitionedLabelJoin:
             partition_entity_labels)
 
         docs, _ = make_corpus(40, seed=17)
-        fe = extract_table(ray.data.from_arrow(docs), "features_entity",
-                           sa_types=set(SA_TYPES), ao_types=set(AO_TYPES))
-        fe = fe.materialize()
+        (tmp_path / "extract").mkdir()
+        out = _extract(docs, tmp_path / "extract", sa_types=set(SA_TYPES),
+                       ao_types=set(AO_TYPES))
+        fe = read_table(out, "features_entity").materialize()
         # labels for every qid the corpus can reference (plus a hole every
         # 13th so the miss path is exercised too)
         labels = {f"Q{i}": (f"label {i}", f"desc {i}")

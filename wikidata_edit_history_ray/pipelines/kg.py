@@ -1,48 +1,24 @@
 """The KG change-history construction pipeline, Ray-Data-first.
 
-Two consumption shapes:
-- `extract_table(ds, table, ...)` — lazy Dataset of ONE logical change table
-  (used by queries / tests / downstream aggregates).
-- `run_extraction(input_path, output_dir, ...)` — one streaming pass that fans
-  out ALL logical tables to partitioned Parquet with a per-partition lineage
-  manifest; restartable (completed partitions are skipped via their manifest
-  files). This replaces the reference's db_writer process + processed-files
-  claim protocol (scripts/db_writer.py, main.py:62-131).
+- `run_extraction(input_path, output_dir, ...)` — the one extraction path:
+  one streaming pass that diffs each document once and fans out ALL logical
+  tables to partitioned Parquet with a per-partition lineage manifest;
+  restartable (the driver skips partitions whose manifest is committed under
+  the same run key). This replaces the reference's db_writer process +
+  processed-files claim protocol (scripts/db_writer.py, main.py:62-131).
+- `read_table(output_dir, table)` — a Dataset of one table it wrote.
+- `run_enrichment`, `materialize_graph`, `dedup_changes` — passes over those
+  tables.
 """
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..core.differ import DiffConfig
-from ..stages.extract import ChangeExtractor, MultiSinkExtractor
-
-
-def _broadcast_aux(property_labels, sa_types, ao_types):
-    """ray.put the small side tables once so every task reads the same
-    object-store copy, resolved once per worker process."""
-    import ray
-
-    return (
-        ray.put(property_labels or {}),
-        ray.put(sorted(sa_types or ())),
-        ray.put(sorted(ao_types or ())),
-    )
-
-
-def extract_table(ds, table: str = "value_change", config: DiffConfig | None = None,
-                  property_labels=None, sa_types=None, ao_types=None):
-    """documents Dataset -> Dataset of one logical change table.
-
-    One task call per input block: block count (OVERRIDE at read time to ~2x
-    the core count) is the parallelism knob; per-batch slicing only adds
-    overhead here because rows are whole documents. The extractor instance
-    pickles into each task and tasks land on Ray's prestarted workers
-    immediately (no actor-pool ramp-up latency).
-    """
-    pl_ref, sa_ref, ao_ref = _broadcast_aux(property_labels, sa_types, ao_types)
-    extractor = ChangeExtractor(
-        config=(config or DiffConfig()).to_dict(), property_labels=pl_ref,
-        sa_types=sa_ref, ao_types=ao_ref, emit=table)
-    return ds.map_batches(extractor, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True)
+from ..stages.distributed import (adjacent_equal_mask, default_reduce_buckets,
+                                  salt_from_columns)
 
 
 def run_extraction(input_path: str, output_dir: str,
@@ -50,32 +26,77 @@ def run_extraction(input_path: str, output_dir: str,
                    sa_types=None, ao_types=None,
                    target_rows_per_partition: int | None = None):
     """Full multi-table extraction with lineage manifest; returns the manifest
-    as a small materialized Dataset (one row per partition).
+    as a small materialized Dataset (one row per partition, in spec order).
 
     The work units are DETERMINISTIC (file, row-group) partitions of the
-    input — never Ray batch boundaries, which vary run to run — so a re-run
-    with the same input + output_dir skips exactly the partitions whose
-    manifest files exist and recomputes only the missing ones, with no
-    duplicate part files. The input must be addressable parquet/Lance.
+    input — never Ray batch boundaries, which vary run to run. The driver
+    lists `_manifest/` once: committed partitions are `resumed`, and only the
+    missing ones run, as one Ray Data job (none when all are committed), with
+    no duplicate part files. The input must be addressable parquet/Lance.
+
+    Raises ValueError when `output_dir` holds partitions this call would not
+    produce: committed under another run key (config, aux tables or engine
+    changed), or with partition ids not in the input's current spec list
+    (input rewritten in place, or another `target_rows_per_partition`).
     """
+    import ray
     import ray.data
 
-    from ..stages.extract import list_partition_specs, resolve_filesystem
+    from ..stages.extract import (ChangeExtractor, list_partition_specs,
+                                  read_manifests, resolve_filesystem, run_key)
+    from ..stages.schemas import MANIFEST_SCHEMA
 
+    cfg = (config or DiffConfig()).to_dict()
+    labels = property_labels or {}
+    sa, ao = sorted(sa_types or ()), sorted(ao_types or ())
+    key = run_key(cfg, labels, sa, ao)
     out_fs, out_root = resolve_filesystem(output_dir)
     out_fs.create_dir(out_root, recursive=True)
     specs = list_partition_specs(
         input_path, target_rows_per_partition=target_rows_per_partition)
-    pl_ref, sa_ref, ao_ref = _broadcast_aux(property_labels, sa_types, ao_types)
-    sink = MultiSinkExtractor(
-        output_dir=output_dir, config=(config or DiffConfig()).to_dict(),
-        property_labels=pl_ref, sa_types=sa_ref, ao_types=ao_ref)
-    mat = ray.data.from_items(specs).map_batches(
-        sink, batch_format="pyarrow", batch_size=1).materialize()
-    # persist the run-level manifest next to the outputs (throughput accounting,
-    # the analog of the reference's per-file metrics CSV, scripts/file_parser.py:393-417)
-    mat.write_parquet(f"{output_dir.rstrip('/')}/_run_manifest")
-    return mat
+    done = read_manifests(output_dir)
+    foreign = sorted(set(done) - {s["partition_id"] for s in specs})
+    if foreign:
+        raise ValueError(
+            f"{output_dir} holds partitions {foreign[:3]} that are not "
+            f"partitions of {input_path}: the input was rewritten or "
+            f"repartitioned; extract into a new output dir")
+    stale = sorted(p for p, m in done.items() if m.get("run_key") != key)
+    if stale:
+        raise ValueError(
+            f"{output_dir} holds partitions {stale[:3]} extracted under "
+            f"another config, aux tables or engine; extract into a new "
+            f"output dir")
+    rows = {p: {**m, "resumed": True} for p, m in done.items()}
+    todo = [s for s in specs if s["partition_id"] not in done]
+    if todo:
+        # ray.put the small side tables once so every task reads the same
+        # object-store copy, resolved once per worker process
+        extractor = ChangeExtractor(
+            config=cfg, property_labels=ray.put(labels), sa_types=ray.put(sa),
+            ao_types=ray.put(ao), output_dir=output_dir, run_key=key)
+        for m in ray.data.from_items(todo).map_batches(
+                extractor, batch_format="pyarrow", batch_size=1).take_all():
+            rows[m["partition_id"]] = m
+    return ray.data.from_arrow(pa.Table.from_pylist(
+        [rows[s["partition_id"]] for s in specs], schema=MANIFEST_SCHEMA))
+
+
+def read_table(output_dir: str, table: str):
+    """Dataset of one table `run_extraction` wrote under `output_dir` (one
+    of the 12 change tables, or 'errors'). A table no partition wrote —
+    zero-row tables get no files — reads as an empty Dataset of its schema."""
+    import ray.data
+    from pyarrow import fs as pafs
+
+    from ..stages.extract import resolve_filesystem
+    from ..stages.schemas import ERRORS_SCHEMA, TABLE_SCHEMAS
+
+    fs, root = resolve_filesystem(output_dir)
+    if fs.get_file_info(f"{root}/{table}").type == pafs.FileType.Directory:
+        return ray.data.read_parquet(f"{output_dir.rstrip('/')}/{table}")
+    schema = ERRORS_SCHEMA if table == "errors" else TABLE_SCHEMAS[table]
+    return ray.data.from_arrow(schema.empty_table())
 
 
 def run_enrichment(output_dir: str, closure_dir: str | None = None,
@@ -138,6 +159,32 @@ def run_enrichment(output_dir: str, closure_dir: str | None = None,
     return results
 
 
+def _last_per_key(t: pa.Table, key_cols: list) -> pa.Table:
+    """The max-revision row of each key; among equal revisions the stable
+    sort keeps the last one."""
+    t = t.take(pc.sort_indices(t, sort_keys=[
+        (c, "ascending") for c in key_cols + ["revision_id"]]))
+    if t.num_rows:
+        t = t.filter(pa.array(np.append(~adjacent_equal_mask(t, key_cols),
+                                        True)))
+    return t
+
+
+def _first_per_key(t: pa.Table, key_cols: list) -> pa.Table:
+    """The first row of each key in `t`'s order (stable sort, keep-first)."""
+    t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending")
+                                             for c in key_cols]))
+    if t.num_rows:
+        t = t.filter(pa.array(np.insert(~adjacent_equal_mask(t, key_cols), 0,
+                                        True)))
+    return t
+
+
+def _with_salt(t: pa.Table, key_cols: list, buckets: int) -> pa.Table:
+    return t.append_column("_salt", pa.array(
+        salt_from_columns(t, key_cols, buckets), type=pa.int64()))
+
+
 def materialize_graph(value_change_ds):
     """Materialize the CURRENT knowledge graph from the change history:
     (subj=entity_id, pred=property_id, obj=value) triples that exist after
@@ -149,49 +196,25 @@ def materialize_graph(value_change_ds):
     DELETEd statements. The shuffle moves one row per statement per block,
     not the full history. Hot entities spread across reducers because the
     bucket is a hash of the full key, value_id (statement id) included.
+    Arrow end to end: no block carries pandas schema metadata.
     """
-    import numpy as np
-    import pyarrow as pa
-
-    from ..stages.distributed import default_reduce_buckets, salt_from_columns
-
     key_cols = ["entity_id", "property_id", "value_id"]
     buckets = default_reduce_buckets()
 
     def local_last(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["change_target"] == ""]
-        if not df.empty:
-            df = df.sort_values("revision_id").groupby(key_cols, as_index=False).tail(1)
-        df = df[key_cols + ["revision_id", "timestamp", "action", "new_value",
-                            "new_datatype", "doc_id"]]
-        salts = salt_from_columns(df, key_cols, buckets) if len(df) \
-            else np.array([], dtype=np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False).append_column(
-            "_salt", pa.array(salts, type=pa.int64()))
+        t = batch.filter(pc.equal(batch.column("change_target"), "")).select(
+            key_cols + ["revision_id", "timestamp", "action", "new_value",
+                        "new_datatype", "doc_id"])
+        return _with_salt(_last_per_key(t, key_cols), key_cols, buckets)
 
     partial = value_change_ds.map_batches(local_last, batch_format="pyarrow")
 
     def replay_bucket(group: pa.Table) -> pa.Table:
         # all of a statement's partials land in its bucket: replay per bucket
-        # with one vectorized Arrow pass, not one task per statement — sort
-        # by (key, revision) and keep each key run's LAST row
-        import pyarrow.compute as pc
-
-        from ..stages.distributed import adjacent_equal_mask
-
-        idx = pc.sort_indices(
-            group, sort_keys=[(c, "ascending") for c in key_cols]
-            + [("revision_id", "ascending")])
-        g = group.take(idx)
-        if g.num_rows:
-            same = adjacent_equal_mask(g, key_cols)
-            is_last = np.concatenate([~same, [True]])
-            keep = is_last & pc.fill_null(pc.not_equal(
-                g.column("action"), "DELETE"), True).to_numpy(
-                zero_copy_only=False)
-            g = g.filter(pa.array(keep))
-        g = g.drop_columns(["_salt"])
+        # with one vectorized Arrow pass, not one task per statement
+        g = _last_per_key(group, key_cols)
+        g = g.filter(pc.fill_null(pc.not_equal(g.column("action"), "DELETE"),
+                                  True)).drop_columns(["_salt"])
         return g.rename_columns(
             [{"entity_id": "subj", "property_id": "pred",
               "new_value": "obj"}.get(c, c) for c in g.schema.names])
@@ -214,41 +237,20 @@ def dedup_changes(ds, pk_cols, salt_buckets: int = 0):
     instead of hammering one. A local per-block dedup runs first so the
     shuffle moves each block's distinct keys only.
     """
-    import numpy as np
-    import pyarrow as pa
-
-    from ..stages.distributed import default_reduce_buckets, salt_from_columns
-
     buckets = salt_buckets or default_reduce_buckets()
 
     def drop_local_dupes(batch: pa.Table) -> pa.Table:
         # partial dedup inside each block before any shuffle, then tag each
         # surviving row with its PK-hash bucket — the shuffle key
-        df = batch.to_pandas()
-        df = df.drop_duplicates(subset=pk_cols, keep="first")
-        out = pa.Table.from_pandas(df, preserve_index=False)
-        salts = salt_from_columns(df, pk_cols, buckets) if len(df) \
-            else np.array([], dtype=np.int64)
-        return out.append_column("_salt", pa.array(salts, type=pa.int64()))
+        return _with_salt(_first_per_key(batch, pk_cols), pk_cols, buckets)
 
     ds = ds.map_batches(drop_local_dupes, batch_format="pyarrow")
 
     def dedup_bucket(group: pa.Table) -> pa.Table:
         # one vectorized keep-first per BUCKET (not per PK) — all duplicates
         # of a key share its bucket, so this is exact with ~buckets groups
-        # instead of one group per distinct key; Arrow end to end, so the
-        # shuffled blocks keep their exact types
-        import pyarrow.compute as pc
-
-        from ..stages.distributed import adjacent_equal_mask
-
-        idx = pc.sort_indices(
-            group, sort_keys=[(c, "ascending") for c in pk_cols])
-        g = group.take(idx)
-        if g.num_rows:
-            same = adjacent_equal_mask(g, pk_cols)
-            g = g.filter(pa.array(np.concatenate([[True], ~same])))
-        return g.drop_columns(["_salt"])
+        # instead of one group per distinct key
+        return _first_per_key(group, pk_cols).drop_columns(["_salt"])
 
     return ds.groupby("_salt").map_groups(dedup_bucket,
                                           batch_format="pyarrow")

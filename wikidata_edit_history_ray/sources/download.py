@@ -66,7 +66,7 @@ def _default_fetcher(url: str, dest: str):
 
 
 def run_downloads(url_list_path: str, download_dir: str, fetcher=None,
-                  max_tries: int = 3, concurrency: int = 4):
+                  max_tries: int = 3):
     """Execute the plan as a Ray pipeline; returns the manifest Dataset (one
     row per URL: skipped/bytes/seconds/error). Files land via tmp + atomic
     rename; a re-run skips everything already present (reference semantics)."""
@@ -108,7 +108,7 @@ def run_downloads(url_list_path: str, download_dir: str, fetcher=None,
             rows.append(row)
         return pa.Table.from_pylist(rows, schema=MANIFEST_SCHEMA)
 
-    del concurrency  # one task per URL (batch_size=1); IO-bound -> 0.25 cpu
+    # one task per URL (batch_size=1); IO-bound -> 0.25 cpu
     ds = ray.data.from_items(plan)
     return ds.map_batches(fetch_one, batch_size=1, batch_format="pyarrow",
                           num_cpus=0.25)

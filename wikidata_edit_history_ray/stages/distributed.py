@@ -310,18 +310,17 @@ def _hash_bucket_array(values, buckets: int) -> pa.Array:
     return pa.array(out, type=pa.int64())
 
 
-def salt_from_columns(df, cols, buckets: int):
+def salt_from_columns(table: pa.Table, cols, buckets: int) -> np.ndarray:
     """Deterministic per-row salt from a composite key: column-wise fixed-key
     hashes mixed with a 64-bit LCG step — vectorized, process-stable, every
     duplicate of a key lands in the same bucket on every worker."""
-    import numpy as np
     from pandas.util import hash_pandas_object
 
-    acc = np.zeros(len(df), dtype=np.uint64)
+    acc = np.zeros(table.num_rows, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for c in cols:
-            acc = acc * np.uint64(6364136223846793005) + \
-                hash_pandas_object(df[c], index=False).to_numpy()
+            acc = acc * np.uint64(6364136223846793005) + hash_pandas_object(
+                table.column(c).to_pandas(), index=False).to_numpy()
     return (acc % np.uint64(buckets)).astype(np.int64)
 
 

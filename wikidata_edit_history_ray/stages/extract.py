@@ -1,11 +1,12 @@
-"""The change-extraction stage: per-doc diffing inside `map_batches`.
+"""The change-extraction stage: deterministic input partitions in, the 12
+change tables plus errors on storage out.
 
-`ChangeExtractor` is a callable class whose instance is passed to
-``ds.map_batches(..., batch_format="pyarrow")``: it pickles into each task,
-and its per-worker setup (differ construction, ``ray.get`` of the broadcast
-aux tables) runs lazily, once per worker process, mirroring the reference's
-per-process CSV dict loading (scripts/file_parser.py:84-88) without
-re-shipping state per batch.
+- `list_partition_specs`: the (file, row-group range) work units and their
+  partition ids;
+- `ChangeExtractor`: the task `pipelines.kg.run_extraction` maps over the
+  specs that still need work; its `extract_batch` diffs a documents table
+  and needs no Ray session;
+- `read_manifests` / `run_key`: what the driver decides resume from.
 
 All diff state is per-document, so extraction is embarrassingly parallel and
 needs no shuffle; doc-level skew (hot entities with tens of thousands of
@@ -22,9 +23,12 @@ import pyarrow as pa
 
 from ..core.constants import TABLE_COLS
 from ..core.differ import DiffConfig, PageDiffer
-from .schemas import ERRORS_SCHEMA, ROUTING_COLS, TABLE_SCHEMAS
+from .schemas import (ERRORS_SCHEMA, MANIFEST_SCHEMA, ROUTING_COLS,
+                      TABLE_SCHEMAS)
 
 _ROUTING_NAMES = [name for name, _ in ROUTING_COLS]
+_COMPRESSION = "zstd"
+MANIFEST_DIR = "_manifest"
 
 
 def resolve_filesystem(path):
@@ -108,27 +112,48 @@ def rows_to_table(table_name: str, rows: list, routing: list | None) -> pa.Table
 
 
 class ChangeExtractor:
-    """Task stage: documents batch in → one logical table (or a tagged union
-    of all tables) out.
+    """The extraction task: partition specs in, change tables on storage out.
+
+    `run_extraction` maps an instance over the partition specs that still
+    need work (``map_batches(..., batch_size=1)``): it pickles into each
+    task, and its per-worker setup (differ construction, ``ray.get`` of the
+    broadcast aux tables, the output filesystem) runs lazily, once per worker
+    process, mirroring the reference's per-process CSV dict loading
+    (scripts/file_parser.py:84-88) without re-shipping state per batch.
+
+    The work unit is a DETERMINISTIC input partition — consecutive row groups
+    of one file — not a Ray batch: Ray's block/batch boundaries vary run to
+    run, so a batch-keyed sink would duplicate output rows on a re-run. Each
+    task reads exactly its spec's row groups, diffs them, writes every
+    non-empty table to `<output_dir>/<table>/<partition_id>.parquet`, then
+    commits `<output_dir>/_manifest/<partition_id>.json` and returns that
+    manifest as one row, so the big outputs never transit the object store.
+
+    `output_dir` (and spec input files) may be a local path OR any
+    pyarrow-filesystem URI (`file://`, `s3://`, ...): on a multi-node
+    cluster the sink writes to shared/object storage, not per-node disks.
+    The commit point stays the manifest file: write-tmp-then-rename on
+    filesystems with atomic rename (local), a single atomic PUT on object
+    stores.
 
     Parameters
     - config: DiffConfig kwargs dict
     - property_labels / sa_types / ao_types: plain objects or ray.put refs
-    - emit: table name to emit ('value_change', ...), or 'all' for the
-      multi-table dict used by the parquet multi-sink
+    - output_dir: where the tables and manifests go (unused by extract_batch)
+    - run_key: recorded in each manifest (see `run_key`)
     """
 
     def __init__(self, config: dict | None = None, property_labels=None,
-                 sa_types=None, ao_types=None, emit: str = "value_change"):
-        # broadcast handles resolve lazily (in the worker, once per process):
-        # the pickled instance is dispatched task-by-task to Ray's
-        # prestarted workers
+                 sa_types=None, ao_types=None, output_dir: str = "",
+                 run_key: str = ""):
         self._config = config or {}
         self._property_labels = property_labels
         self._sa_types = sa_types
         self._ao_types = ao_types
         self.differ = None
-        self.emit = emit
+        self.output_dir = output_dir
+        self.run_key = run_key
+        self._fs = None
 
     def _ensure_differ(self):
         if self.differ is None:
@@ -186,159 +211,118 @@ class ChangeExtractor:
         }
         return tables, errors
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tables, errors = self.extract_batch(batch)
-        if self.emit == "errors":
-            return pa.Table.from_arrays(
-                [pa.array([e[0] for e in errors], type=pa.string()),
-                 pa.array([e[1] for e in errors], type=pa.string())],
-                schema=ERRORS_SCHEMA)
-        if errors:
-            # single-table mode has no errors sink; surface the loss instead
-            # of silently dropping poison/wide docs (use emit='errors' or the
-            # multi-sink pipeline to persist them)
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "ChangeExtractor(emit=%r): %d doc(s) skipped with errors "
-                "(first: %s) — errors only persist in multi-sink mode",
-                self.emit, len(errors), errors[0])
-        return tables[self.emit]
-
-
-class MultiSinkExtractor(ChangeExtractor):
-    """Extraction with fan-out parquet sinks + per-partition lineage manifest.
-
-    The work unit is a DETERMINISTIC input partition — one (file, row-group)
-    pair — not a Ray batch: Ray's block/batch boundaries vary run to run, so a
-    batch-fingerprinted sink would both miss resume hits and leave stale part
-    files behind (duplicate output rows). Each task receives a partition spec
-    row, reads exactly that row group, diffs it, and writes every logical
-    table to `<output_dir>/<table>/<partition_id>.parquet`. The returned batch
-    is one manifest row per partition (input fingerprint, row counts,
-    timings) — the tiny dataset the driver consumes, so the big outputs never
-    transit the object store. A partition whose manifest file exists is
-    skipped wholesale (resume path).
-
-    `output_dir` (and spec input files) may be a local path OR any
-    pyarrow-filesystem URI (`file://`, `s3://`, ...): on a multi-node
-    cluster the sink writes to shared/object storage, not per-node disks.
-    The commit point stays the manifest file: write-tmp-then-rename on
-    filesystems with atomic rename (local), a single atomic PUT on object
-    stores.
-    """
-
-    def __init__(self, output_dir: str, config: dict | None = None,
-                 property_labels=None, sa_types=None, ao_types=None,
-                 compression: str = "zstd"):
-        super().__init__(config, property_labels, sa_types, ao_types, emit="all")
-        self.output_dir = output_dir
-        self.compression = compression
-        self._fs = None  # resolved lazily, once per worker
-
     def _out_fs(self):
         if self._fs is None:
             self._fs = resolve_filesystem(self.output_dir)
         return self._fs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pylist(
+            [self._extract_partition(spec) for spec in batch.to_pylist()],
+            schema=MANIFEST_SCHEMA)
+
+    def _extract_partition(self, spec: dict) -> dict:
         import os
 
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
         from pyarrow import fs as pafs
 
         fs, out_root = self._out_fs()
-        atomic_rename = isinstance(fs, pafs.LocalFileSystem)
-        rows = []
-        for spec in batch.to_pylist():
-            path, rg, num_rows = spec["file"], spec["row_group"], spec["num_rows"]
-            n_rgs = spec.get("num_row_groups") or 1
-            in_fs, in_path = resolve_filesystem(path)
-            # content signal (file size) in the fingerprint: regenerating an
-            # input in place with the same name/row-group layout but different
-            # contents must NOT silently reuse stale partition outputs
-            fsize = in_fs.get_file_info(in_path).size
-            fingerprint = hashlib.sha1(
-                f"{in_path.rsplit('/', 1)[-1]}:{rg}:{n_rgs}:{num_rows}:{fsize}"
-                .encode()).hexdigest()[:16]
-            part_id = f"part-{fingerprint}"
-            manifest_dir = f"{out_root}/_manifest"
-            manifest_path = f"{manifest_dir}/{part_id}.json"
+        part_id, rg = spec["partition_id"], spec["row_group"]
+        in_fs, in_path = resolve_filesystem(spec["file"])
 
-            if _fs_exists(fs, manifest_path):
-                with fs.open_input_stream(manifest_path) as f:
-                    m = json.loads(f.read())
-                m["resumed"] = True
-                rows.append(m)
+        t0 = time.time()
+        docs = pq.ParquetFile(in_path, filesystem=in_fs).read_row_groups(
+            list(range(rg, rg + spec["num_row_groups"])))
+        num_spans = int(pc.sum(pc.list_value_length(docs.column("spans"))).as_py() or 0)
+        tables, errors = self.extract_batch(docs, file_path=part_id)
+        if errors:
+            tables["errors"] = rows_to_table_errors(errors)
+        extract_seconds = time.time() - t0
+
+        t0 = time.time()
+        rows_per_table = {}
+        for name, table in tables.items():
+            rows_per_table[name] = table.num_rows
+            if table.num_rows == 0:
                 continue
+            tdir = f"{out_root}/{name}"
+            fs.create_dir(tdir, recursive=True)
+            pq.write_table(table, f"{tdir}/{part_id}.parquet",
+                           filesystem=fs, compression=_COMPRESSION)
+        write_seconds = time.time() - t0
 
-            t0 = time.time()
-            docs = pq.ParquetFile(in_path, filesystem=in_fs).read_row_groups(
-                list(range(rg, rg + n_rgs)))
-            import pyarrow.compute as pc
+        m = {
+            "partition_id": part_id,
+            "input_fingerprint": part_id.removeprefix("part-"),
+            "num_docs": docs.num_rows,
+            "num_spans": num_spans,
+            "rows_per_table": json.dumps(rows_per_table),
+            "extract_seconds": extract_seconds,
+            "write_seconds": write_seconds,
+            "resumed": False,
+            "run_key": self.run_key,
+        }
+        manifest_dir = f"{out_root}/{MANIFEST_DIR}"
+        manifest_path = f"{manifest_dir}/{part_id}.json"
+        fs.create_dir(manifest_dir, recursive=True)
+        payload = json.dumps(m).encode()
+        if isinstance(fs, pafs.LocalFileSystem):
+            tmp = manifest_path + f".tmp{os.getpid()}"
+            with fs.open_output_stream(tmp) as f:
+                f.write(payload)
+            fs.move(tmp, manifest_path)  # atomic: manifest is the commit point
+        else:
+            # object stores: a single PUT is already atomic (no partial
+            # objects are ever visible), so write the commit marker directly
+            with fs.open_output_stream(manifest_path) as f:
+                f.write(payload)
+        return m
 
-            num_spans = int(pc.sum(pc.list_value_length(docs.column("spans"))).as_py() or 0)
-            tables, errors = self.extract_batch(docs, file_path=part_id)
-            extract_seconds = time.time() - t0
 
-            t0 = time.time()
-            rows_per_table = {}
-            for name, table in tables.items():
-                rows_per_table[name] = table.num_rows
-                if table.num_rows == 0:
-                    continue
-                tdir = f"{out_root}/{name}"
-                fs.create_dir(tdir, recursive=True)
-                pq.write_table(table, f"{tdir}/{part_id}.parquet",
-                               filesystem=fs, compression=self.compression)
-            if errors:
-                edir = f"{out_root}/errors"
-                fs.create_dir(edir, recursive=True)
-                pq.write_table(
-                    rows_to_table_errors(errors),
-                    f"{edir}/{part_id}.parquet",
-                    filesystem=fs, compression=self.compression)
-                rows_per_table["errors"] = len(errors)
-            write_seconds = time.time() - t0
+def read_manifests(output_dir: str) -> dict:
+    """{partition_id: manifest dict} of every partition committed under
+    `output_dir` — one listing of `_manifest/`, read on the driver."""
+    from pyarrow import fs as pafs
 
-            m = {
-                "partition_id": part_id,
-                "input_fingerprint": fingerprint,
-                "num_docs": docs.num_rows,
-                "num_spans": num_spans,
-                "rows_per_table": json.dumps(rows_per_table),
-                "extract_seconds": extract_seconds,
-                "write_seconds": write_seconds,
-                "resumed": False,
-            }
-            fs.create_dir(manifest_dir, recursive=True)
-            payload = json.dumps(m).encode()
-            if atomic_rename:
-                tmp = manifest_path + f".tmp{os.getpid()}"
-                with fs.open_output_stream(tmp) as f:
-                    f.write(payload)
-                fs.move(tmp, manifest_path)  # atomic: manifest is the commit point
-            else:
-                # object stores: a single PUT is already atomic (no partial
-                # objects are ever visible), so write the commit marker directly
-                with fs.open_output_stream(manifest_path) as f:
-                    f.write(payload)
-            rows.append(m)
-        return self._manifest_rows(rows)
+    fs, root = resolve_filesystem(output_dir)
+    infos = fs.get_file_info(
+        pafs.FileSelector(f"{root}/{MANIFEST_DIR}", allow_not_found=True))
+    manifests = {}
+    for info in infos:
+        # a task killed mid-commit leaves a `.json.tmp<pid>`: not committed
+        if info.type == pafs.FileType.File and info.base_name.endswith(".json"):
+            with fs.open_input_stream(info.path) as f:
+                manifests[info.base_name.removesuffix(".json")] = \
+                    json.loads(f.read())
+    return manifests
 
-    @staticmethod
-    def _manifest_rows(ms: list) -> pa.Table:
-        from .schemas import MANIFEST_SCHEMA
 
-        return pa.Table.from_pylist(
-            [{k: m.get(k) for k in MANIFEST_SCHEMA.names} for m in ms],
-            schema=MANIFEST_SCHEMA)
+def run_key(config: dict, property_labels: dict, sa_types: list,
+            ao_types: list) -> str:
+    """Signature of everything that shapes a partition's outputs besides its
+    input: the DiffConfig, the aux tables and the engine source (`core/`,
+    this module and the schemas). A finished partition is reusable only
+    under the same key."""
+    from pathlib import Path
+
+    pkg = Path(__file__).resolve().parent.parent
+    h = hashlib.sha1(json.dumps(
+        [config, sorted(property_labels.items()), sorted(sa_types),
+         sorted(ao_types)], sort_keys=True).encode())
+    for src in sorted(pkg.glob("core/*.py")) + [
+            pkg / "stages" / "extract.py", pkg / "stages" / "schemas.py"]:
+        h.update(src.name.encode())
+        h.update(src.read_bytes())
+    return h.hexdigest()[:16]
 
 
 def list_partition_specs(input_path: str,
                          target_rows_per_partition: int | None = None) -> list:
     """Deterministic partition list for a parquet file or directory. Cheap —
-    reads only parquet footers.
+    reads only parquet footers. Each spec carries its `partition_id`: a hash
+    of the file name and size, the row-group range and the row count.
 
     Default: one spec per (file, row_group) — the finest resume granularity.
     With target_rows_per_partition, CONSECUTIVE row groups of a file coalesce
@@ -364,14 +348,13 @@ def list_partition_specs(input_path: str,
         prefix = p[:i] if i > 0 else p.split("://", 1)[0] + "://"
     info = fs.get_file_info(root)
     if info.type == pafs.FileType.Directory:
-        sel = pafs.FileSelector(root)
-        files = sorted(f.path for f in fs.get_file_info(sel)
-                       if f.path.endswith(".parquet"))
+        files = sorted((f for f in fs.get_file_info(pafs.FileSelector(root))
+                        if f.path.endswith(".parquet")), key=lambda f: f.path)
     else:
-        files = [root]
+        files = [info]
     specs = []
     for f in files:
-        md = pq.read_metadata(f, filesystem=fs)
+        md = pq.read_metadata(f.path, filesystem=fs)
         pending, pending_rows = [], 0
         for rg in range(md.num_row_groups):
             pending.append(rg)
@@ -379,9 +362,15 @@ def list_partition_specs(input_path: str,
             if (target_rows_per_partition is None
                     or pending_rows >= target_rows_per_partition
                     or rg == md.num_row_groups - 1):
-                specs.append({"file": prefix + f, "row_group": pending[0],
+                # file size in the id: an input regenerated in place with
+                # the same name and row-group layout gets new partition ids
+                fingerprint = hashlib.sha1(
+                    f"{f.base_name}:{pending[0]}:{len(pending)}:"
+                    f"{pending_rows}:{f.size}".encode()).hexdigest()[:16]
+                specs.append({"file": prefix + f.path, "row_group": pending[0],
                               "num_row_groups": len(pending),
-                              "num_rows": pending_rows})
+                              "num_rows": pending_rows,
+                              "partition_id": f"part-{fingerprint}"})
                 pending, pending_rows = [], 0
     return specs
 

@@ -107,4 +107,5 @@ MANIFEST_SCHEMA = pa.schema([
     ("extract_seconds", pa.float64()),
     ("write_seconds", pa.float64()),
     ("resumed", pa.bool_()),
+    ("run_key", pa.string()),  # stages.extract.run_key of the producing run
 ])

@@ -724,14 +724,13 @@ def _q_kg_graph_asof(sf_dir: str):
 
 
 def _q_kg_canonical_triples(sf_dir: str):
-    """Salted-key canonicalization/dedup groupby over the change table
+    """Keyed canonicalization/dedup over the change table
     (idempotent on clean input; the ON CONFLICT analog across partitions)."""
     from wikidata_edit_history_ray.pipelines.kg import dedup_changes
 
     vc = _kg_table(sf_dir, "value_change")
     return dedup_changes(
         vc, ["revision_id", "property_id", "value_id", "change_target"],
-        salt_buckets=16,
     ).select_columns(_KG_PROJECTIONS["value_change"])
 
 

@@ -1,5 +1,7 @@
 """Graph materialization: replaying the change history reproduces each
-entity's FINAL snapshot claims — ground truth from the corpus generator."""
+entity's FINAL snapshot claims — ground truth from the corpus generator.
+Also the shape of the graph replay and dedup reducers: bucket count, typed
+output blocks, and which row dedup keeps."""
 import json
 import random
 
@@ -110,3 +112,112 @@ def test_salt_buckets_match_pandas_frame_hash():
                     hash_pandas_object(df[c], index=False).to_numpy()
         expected = (acc % np.uint64(64)).astype(np.int64)
         assert (salt_from_columns(vc, cols, 64) == expected).all()
+
+
+def test_default_reduce_buckets_is_one_per_cpu(ray_session):
+    """One reducer bucket per CPU, with no floor: 4 in this 4-CPU session."""
+    from wikidata_edit_history_ray.stages.distributed import \
+        default_reduce_buckets
+
+    assert default_reduce_buckets() == 4 == ray_session.cluster_resources()[
+        "CPU"]
+
+
+@pytest.fixture(params=[1, 4], ids=["coalesce", "sort"])
+def buckets(request, ray_session, monkeypatch):
+    """The reducers' bucket count: 1 coalesces the partials, 4 sorts them on
+    the salt."""
+    from wikidata_edit_history_ray.pipelines import kg
+
+    monkeypatch.setattr(kg, "default_reduce_buckets", lambda: request.param)
+    return request.param
+
+
+_DEDUP_PK = ["revision_id", "property_id", "value_id", "change_target"]
+
+
+def _blocks(ds):
+    import ray
+
+    return ray.get(ds.materialize().to_arrow_refs())
+
+
+def test_every_output_block_carries_the_output_schema(value_change, buckets):
+    """Every block the graph replay and the dedup return carries the output
+    schema, so the blocks concatenate; the coalesce returns one block."""
+    import pyarrow as pa
+
+    from wikidata_edit_history_ray.pipelines.kg import (GRAPH_SCHEMA,
+                                                        dedup_changes,
+                                                        materialize_graph)
+
+    vc_schema = value_change.schema().base_schema
+    for ds, schema in ((materialize_graph(value_change), GRAPH_SCHEMA),
+                       (dedup_changes(value_change, _DEDUP_PK), vc_schema)):
+        blocks = _blocks(ds)
+        assert [b.schema for b in blocks] == [schema] * len(blocks)
+        assert pa.concat_tables(blocks).num_rows > 0
+        assert len(blocks) == (1 if buckets == 1 else buckets)
+
+
+def test_empty_history_gives_typed_empty_result(buckets):
+    """An empty change table (an unwritten table, or an as-of cutoff before
+    the first change) replays to zero triples of GRAPH_SCHEMA and dedups to
+    zero rows of its own schema."""
+    import ray.data
+
+    from wikidata_edit_history_ray.pipelines.kg import (GRAPH_SCHEMA,
+                                                        dedup_changes,
+                                                        materialize_graph)
+    from wikidata_edit_history_ray.stages.schemas import TABLE_SCHEMAS
+
+    vc_schema = TABLE_SCHEMAS["value_change"]
+    empty = ray.data.from_arrow(vc_schema.empty_table())
+    for ds, schema in ((materialize_graph(empty), GRAPH_SCHEMA),
+                       (dedup_changes(empty, _DEDUP_PK), vc_schema)):
+        ds = ds.materialize()
+        assert ds.count() == 0
+        assert ds.schema().base_schema == schema
+        assert [b.schema for b in _blocks(ds)] == [schema] * ds.num_blocks()
+
+
+def test_one_bucket_coalesces_without_a_sort(value_change, monkeypatch):
+    """At one bucket the graph replay and the dedup run no Sort operator and
+    return one block; above it they sort on the salt."""
+    from wikidata_edit_history_ray.pipelines import kg
+
+    def run():
+        return [kg.materialize_graph(value_change).materialize(),
+                kg.dedup_changes(value_change, _DEDUP_PK).materialize()]
+
+    for ds in run():
+        assert "Sort" in ds.stats()
+    monkeypatch.setattr(kg, "default_reduce_buckets", lambda: 1)
+    for ds in run():
+        assert "Sort" not in ds.stats()
+        assert ds.num_blocks() == 1
+
+
+def test_dedup_keeps_the_least_row_of_each_key(buckets):
+    """Non-identical duplicates in two partitions: dedup keeps, of each key,
+    its least row in (pk, then the other columns) order, whatever the block
+    order and the bucket count."""
+    import pyarrow as pa
+    import ray.data
+
+    from wikidata_edit_history_ray.pipelines.kg import dedup_changes
+
+    n = 40
+    a = pa.table({"k": list(range(n)), "v": ["b"] * n,
+                  "w": [i % 3 for i in range(n)]})
+    b = pa.table({"k": list(range(0, 2 * n, 2)),
+                  "v": ["a" if i % 4 else "b" for i in range(n)],
+                  "w": [i % 5 for i in range(n)]})
+    rows = a.to_pylist() + b.to_pylist()
+    expected = {}
+    for r in sorted(rows, key=lambda r: (r["k"], r["v"], r["w"])):
+        expected.setdefault(r["k"], r)
+    for parts in ([a, b], [b, a]):
+        got = dedup_changes(ray.data.from_arrow(parts), ["k"]).take_all()
+        assert sorted(got, key=lambda r: r["k"]) == \
+            [expected[k] for k in sorted(expected)]

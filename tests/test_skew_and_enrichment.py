@@ -1,5 +1,6 @@
-"""Scale/skew tests (SURVEY §5): salted dedup == unsalted dedup on a corpus
-with one hot doc among many small docs; second-pass enrichment pipeline."""
+"""Scale/skew tests (SURVEY §5): salted == unsalted dedup and graph replay on
+a corpus with one hot doc among many small docs; second-pass enrichment
+pipeline."""
 import pytest
 
 
@@ -29,21 +30,35 @@ def hot_corpus(ray_session):
 
 
 class TestSaltedDedup:
-    def test_salted_equals_unsalted(self, ray_session, hot_corpus, tmp_path):
-        from wikidata_edit_history_ray.pipelines.kg import (dedup_changes,
-                                                            read_table)
+    def test_salted_equals_unsalted(self, ray_session, hot_corpus, tmp_path,
+                                    monkeypatch):
+        """The salted sort (one bucket per CPU of the 4-CPU session) and the
+        unsalted coalesce (one bucket) keep the same keys, each key once, in
+        dedup_changes and materialize_graph."""
+        from wikidata_edit_history_ray.pipelines import kg
 
         pk = ["revision_id", "property_id", "value_id", "change_target"]
         # duplicate the input so real duplicate keys exist across partitions
         out = _extract(hot_corpus, tmp_path, copies=2)
-        vc = read_table(out, "value_change").materialize()
+        vc = kg.read_table(out, "value_change").materialize()
 
-        plain = dedup_changes(vc, pk).select_columns(pk).take_all()
-        salted = dedup_changes(vc, pk, salt_buckets=8).select_columns(pk).take_all()
-        key = lambda r: tuple(r[c] for c in pk)
-        assert sorted(map(key, plain)) == sorted(map(key, salted))
-        # exactly one row per PK
-        assert len({key(r) for r in salted}) == len(salted)
+        def keys(ds, cols):
+            rows = ds.select_columns(cols).take_all()
+            got = [tuple(r[c] for c in cols) for r in rows]
+            assert len(set(got)) == len(got)
+            return set(got)
+
+        def run():
+            return (keys(kg.dedup_changes(vc, pk), pk),
+                    keys(kg.materialize_graph(vc), ["subj", "pred",
+                                                    "value_id"]))
+
+        assert kg.default_reduce_buckets() == 4
+        salted = run()
+        monkeypatch.setattr(kg, "default_reduce_buckets", lambda: 1)
+        assert run() == salted
+        assert salted[0] == {tuple(r[c] for c in pk) for r in
+                             vc.select_columns(pk).take_all()}
 
     def test_hot_doc_extraction_correct(self, ray_session, hot_corpus,
                                         tmp_path):

@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 from ..core.differ import DiffConfig
 from ..stages.distributed import (adjacent_equal_mask, default_reduce_buckets,
                                   salt_from_columns)
+from ..stages.schemas import TABLE_SCHEMAS
 
 
 def run_extraction(input_path: str, output_dir: str,
@@ -159,6 +160,19 @@ def run_enrichment(output_dir: str, closure_dir: str | None = None,
     return results
 
 
+_GRAPH_KEY = ["entity_id", "property_id", "value_id"]
+# the replay's columns of value_change, in its types
+_REPLAY_SCHEMA = pa.schema([
+    TABLE_SCHEMAS["value_change"].field(c) for c in _GRAPH_KEY + [
+        "revision_id", "timestamp", "action", "new_value", "new_datatype",
+        "doc_id"]])
+# materialize_graph's output: the same columns, the triple ones renamed
+GRAPH_SCHEMA = pa.schema([
+    f.with_name({"entity_id": "subj", "property_id": "pred",
+                 "new_value": "obj"}.get(f.name, f.name))
+    for f in _REPLAY_SCHEMA])
+
+
 def _last_per_key(t: pa.Table, key_cols: list) -> pa.Table:
     """The max-revision row of each key; among equal revisions the stable
     sort keeps the last one."""
@@ -170,87 +184,129 @@ def _last_per_key(t: pa.Table, key_cols: list) -> pa.Table:
     return t
 
 
-def _first_per_key(t: pa.Table, key_cols: list) -> pa.Table:
-    """The first row of each key in `t`'s order (stable sort, keep-first)."""
+def _first_per_key(t: pa.Table, key_cols: list, order: list) -> pa.Table:
+    """The first row of each key once `t` is sorted on `order` (the key
+    columns first), so the row kept depends on the rows, not on `t`'s order
+    when `order` names every column."""
     t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending")
-                                             for c in key_cols]))
+                                             for c in order]))
     if t.num_rows:
         t = t.filter(pa.array(np.insert(~adjacent_equal_mask(t, key_cols), 0,
                                         True)))
     return t
 
 
-def _with_salt(t: pa.Table, key_cols: list, buckets: int) -> pa.Table:
-    return t.append_column("_salt", pa.array(
-        salt_from_columns(t, key_cols, buckets), type=pa.int64()))
+def _tag(t: pa.Table, key_cols: list, buckets: int) -> pa.Table:
+    """A block-local partial, ready for `_reduce_by_key`: a null `_seed`
+    (a real row) and, above one bucket, the key's `_salt`."""
+    t = t.append_column("_seed", pa.nulls(t.num_rows, pa.bool_()))
+    if buckets > 1:
+        t = t.append_column("_salt", pa.array(
+            salt_from_columns(t, key_cols, buckets), type=pa.int64()))
+    return t
+
+
+def _untag(block: pa.Table) -> pa.Table:
+    """The real rows of one bucket, without the `_tag` columns."""
+    block = block.filter(pc.is_null(block.column("_seed")))
+    return block.drop_columns(
+        [c for c in ("_seed", "_salt") if c in block.schema.names])
+
+
+def _reduce_by_key(partial, schema: pa.Schema, reducer, buckets: int):
+    """Run `reducer` once per bucket of `_tag`ged partials of `schema`, over
+    a block holding every partial row of the bucket's keys.
+
+    At one bucket the partials coalesce into one block: no shuffle. Above
+    it, a sort on `_salt` with one partition per salt value makes each block
+    one bucket (`groupby().map_groups` samples its sort boundaries instead,
+    so some of its partitions hold no salt at all). Ray Data skips a map UDF on a zero-row block and passes that
+    block on untyped or with its input's columns, so one seed row per bucket
+    (`_seed` true, null elsewhere) is added: every bucket is non-empty, the
+    reducer runs on each, and every output block, empty input included,
+    carries the reducer's schema."""
+    import ray.data
+
+    seeds = pa.Table.from_arrays(
+        [pa.nulls(buckets, f.type) for f in schema]
+        + [pa.array([True] * buckets)], names=schema.names + ["_seed"])
+    if buckets > 1:
+        seeds = seeds.append_column(
+            "_salt", pa.array(range(buckets), type=pa.int64()))
+    ds = partial.union(ray.data.from_arrow(seeds))
+    if buckets == 1:
+        ds = ds.repartition(1)
+    else:
+        ds = ds.sort("_salt", boundaries=list(range(1, buckets)))
+    return ds.map_batches(reducer, batch_format="pyarrow", batch_size=None)
 
 
 def materialize_graph(value_change_ds):
     """Materialize the CURRENT knowledge graph from the change history:
     (subj=entity_id, pred=property_id, obj=value) triples that exist after
-    replaying every change in revision order.
+    replaying every change in revision order, typed by `GRAPH_SCHEMA`.
 
     Shape: block-local replay (keep the max-revision row per statement inside
-    each block) -> one groupby shuffle on the statement key
-    (entity_id, property_id, value_id) -> final per-key replay -> filter
-    DELETEd statements. The shuffle moves one row per statement per block,
-    not the full history. Hot entities spread across reducers because the
-    bucket is a hash of the full key, value_id (statement id) included.
-    Arrow end to end: no block carries pandas schema metadata.
+    each block) -> every partial of a statement into one reducer block ->
+    final per-key replay -> filter DELETEd statements. The reducer count is
+    `default_reduce_buckets()`, one per CPU. At one bucket the partials
+    coalesce into one block and the replay runs once, with no shuffle and no
+    salt. Above it, a sort on a salt (a hash of the full statement key,
+    value_id included, so hot entities spread across reducers) gives one
+    block per bucket. Either way one row per statement per block moves, not
+    the full history. Every output block carries `GRAPH_SCHEMA`, also for
+    an empty history.
     """
-    key_cols = ["entity_id", "property_id", "value_id"]
     buckets = default_reduce_buckets()
 
     def local_last(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch.column("change_target"), "")).select(
-            key_cols + ["revision_id", "timestamp", "action", "new_value",
-                        "new_datatype", "doc_id"])
-        return _with_salt(_last_per_key(t, key_cols), key_cols, buckets)
+            _REPLAY_SCHEMA.names)
+        return _tag(_last_per_key(t, _GRAPH_KEY), _GRAPH_KEY, buckets)
 
-    partial = value_change_ds.map_batches(local_last, batch_format="pyarrow")
-
-    def replay_bucket(group: pa.Table) -> pa.Table:
+    def replay_bucket(block: pa.Table) -> pa.Table:
         # all of a statement's partials land in its bucket: replay per bucket
         # with one vectorized Arrow pass, not one task per statement
-        g = _last_per_key(group, key_cols)
+        g = _last_per_key(_untag(block), _GRAPH_KEY)
         g = g.filter(pc.fill_null(pc.not_equal(g.column("action"), "DELETE"),
-                                  True)).drop_columns(["_salt"])
-        return g.rename_columns(
-            [{"entity_id": "subj", "property_id": "pred",
-              "new_value": "obj"}.get(c, c) for c in g.schema.names])
+                                  True))
+        return g.rename_columns(GRAPH_SCHEMA.names)
 
-    return partial.groupby("_salt").map_groups(replay_bucket,
-                                               batch_format="pyarrow")
+    partial = value_change_ds.map_batches(local_last, batch_format="pyarrow")
+    return _reduce_by_key(partial, _REPLAY_SCHEMA, replay_bucket, buckets)
 
 
-def dedup_changes(ds, pk_cols, salt_buckets: int = 0):
-    """Exact keep-first dedup on a composite PK — the ON CONFLICT DO NOTHING
-    analog (scripts/utils.py:205-212), needed only across partition boundaries
-    or after a partial re-run.
+def dedup_changes(ds, pk_cols):
+    """Exact dedup on a composite PK — the ON CONFLICT DO NOTHING analog
+    (scripts/utils.py:205-212), needed only across partition boundaries or
+    after a partial re-run.
 
-    Skew handling (hot entities, north rule): with salt_buckets > 0 the
-    groupby key becomes (salt, *pk) where salt = hash(full PK) % buckets.
-    Because the salt is a pure function of the full PK, every duplicate of a
-    key lands in the same salted group (correctness preserved), while a hot
-    entity's millions of rows — which share entity/doc prefix but differ in
-    the remaining PK components — spread across `salt_buckets` reducers
-    instead of hammering one. A local per-block dedup runs first so the
-    shuffle moves each block's distinct keys only.
+    The row kept for a key is a pure function of the key's rows: the least
+    of them in the order of (pk_cols, then every other column in schema
+    order). So it does not depend on partitioning, block boundaries or the
+    bucket count; identical duplicates, as a re-run produces, are one row.
+
+    Shape: a block-local dedup first, so only each block's distinct keys
+    move, then one dedup per bucket of
+    `default_reduce_buckets()` (one per CPU). At one bucket the local
+    survivors coalesce into one block, with no shuffle and no salt. Above
+    it, the bucket is a salt = hash(full PK) % buckets: every duplicate of a
+    key shares it, while a hot entity's rows — same entity/doc prefix, other
+    PK components — spread across all reducers. Every output block carries
+    `ds`'s schema, also for an empty `ds`.
     """
-    buckets = salt_buckets or default_reduce_buckets()
+    buckets = default_reduce_buckets()
+    schema = ds.schema().base_schema
+    order = pk_cols + [c for c in schema.names if c not in pk_cols]
 
     def drop_local_dupes(batch: pa.Table) -> pa.Table:
-        # partial dedup inside each block before any shuffle, then tag each
-        # surviving row with its PK-hash bucket — the shuffle key
-        return _with_salt(_first_per_key(batch, pk_cols), pk_cols, buckets)
+        return _tag(_first_per_key(batch, pk_cols, order), pk_cols, buckets)
 
-    ds = ds.map_batches(drop_local_dupes, batch_format="pyarrow")
+    def dedup_bucket(block: pa.Table) -> pa.Table:
+        # one vectorized keep-least per BUCKET (not per PK): all duplicates
+        # of a key share its bucket
+        return _first_per_key(_untag(block), pk_cols, order)
 
-    def dedup_bucket(group: pa.Table) -> pa.Table:
-        # one vectorized keep-first per BUCKET (not per PK) — all duplicates
-        # of a key share its bucket, so this is exact with ~buckets groups
-        # instead of one group per distinct key
-        return _first_per_key(group, pk_cols).drop_columns(["_salt"])
-
-    return ds.groupby("_salt").map_groups(dedup_bucket,
-                                          batch_format="pyarrow")
+    return _reduce_by_key(
+        ds.map_batches(drop_local_dupes, batch_format="pyarrow"), schema,
+        dedup_bucket, buckets)

@@ -3,7 +3,7 @@
 Shared by the keyed reducers of `pipelines/kg.py` (graph replay and dedup)
 and `pipelines/analysis.py`:
 
-- `default_reduce_buckets`: the reducer count, ~2 per CPU with a floor;
+- `default_reduce_buckets`: the reducer count, one per CPU;
 - `salt_from_columns`: a process-stable hash bucket per composite key, so
   every duplicate of a key reaches the same reducer;
 - `adjacent_equal_mask`: the run-segmentation kernel the Arrow-format
@@ -22,23 +22,23 @@ Used by the corpus dedup and text operators:
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
 
 def default_reduce_buckets() -> int:
-    """Coarse-reducer bucket count proportional to the cluster: ~2 reduce
-    tasks per CPU, floored at 64. A fixed 64 would cap reduce-side
-    parallelism on a 256-node cluster at 64 tasks; resolved at pipeline build
-    time on the driver."""
-    try:
-        import ray
+    """The reducer count of a keyed shuffle: one bucket per CPU of the Ray
+    cluster (of this host when no session is up), resolved on the driver at
+    pipeline build time. Each bucket is one reduce call, so buckets beyond
+    the CPUs only add tasks; at one CPU the graph replay and the dedup of
+    `pipelines/kg.py` coalesce their partials instead of sorting them."""
+    import ray
 
-        if ray.is_initialized():
-            return max(64, int(ray.cluster_resources().get("CPU", 8)) * 2)
-    except Exception:
-        pass
-    return 64
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
 
 
 def adjacent_equal_mask(table: pa.Table, cols) -> np.ndarray:

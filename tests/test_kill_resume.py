@@ -15,7 +15,7 @@ import ray, sys
 ray.init(address="local", num_cpus=4, include_dashboard=False, log_to_driver=False)
 sys.path.insert(0, {repo!r})
 from wikidata_edit_history_ray.pipelines.kg import run_extraction
-run_extraction({src!r}, {out!r})
+run_extraction({src!r}, {out!r}, target_rows_per_partition=1)
 print("DONE", flush=True)
 """
 
@@ -35,6 +35,7 @@ def test_kill_mid_run_then_resume(tmp_path):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     docs, _ = make_corpus(250, seed=31)
     src = str(tmp_path / "docs.parquet")
+    # 13 row groups, one partition each (the default would make one)
     pqw.write_table(docs, src, row_group_size=20)
 
     # uninterrupted reference run
@@ -87,7 +88,7 @@ class TestCoalescedPartitions:
 
         docs = str(tmp_path / "docs")
         write_corpus_parquet(docs, 400, seed=9, n_shards=2)
-        fine = list_partition_specs(docs)
+        fine = list_partition_specs(docs, target_rows_per_partition=1)
         coarse = list_partition_specs(docs, target_rows_per_partition=150)
         assert len(coarse) < len(fine)
         assert sum(s["num_rows"] for s in coarse) == \
@@ -95,7 +96,8 @@ class TestCoalescedPartitions:
 
         out_f = str(tmp_path / "out_fine")
         out_c = str(tmp_path / "out_coarse")
-        run_extraction(docs, out_f, sa_types=set(SA_TYPES), ao_types=set(AO_TYPES))
+        run_extraction(docs, out_f, sa_types=set(SA_TYPES),
+                       ao_types=set(AO_TYPES), target_rows_per_partition=1)
         m = run_extraction(docs, out_c, sa_types=set(SA_TYPES),
                            ao_types=set(AO_TYPES), target_rows_per_partition=150)
         assert m.count() == len(coarse)

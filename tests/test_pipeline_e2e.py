@@ -149,7 +149,8 @@ def _cli_extract(corpus, out, aux):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     res = subprocess.run(
         [sys.executable, "-m", "wikidata_edit_history_ray", "extract",
-         "--input", corpus, "--output", out, "--aux-dir", aux],
+         "--input", corpus, "--output", out, "--aux-dir", aux,
+         "--partition-rows", "1"],
         capture_output=True, text=True, cwd=repo, timeout=600)
     assert res.returncode == 0, res.stderr[-2000:]
     return json.loads(res.stdout.strip().splitlines()[-1])
@@ -169,7 +170,9 @@ def test_extract_cli_with_aux_dir(ray_session, corpus_parquet, tmp_path):
 
     aux = write_aux_tables(str(tmp_path / "aux"))
     out = str(tmp_path / "cli_out")
-    parts = len(list_partition_specs(corpus_parquet))
+    # one partition per row group, so the run has more than one
+    parts = len(list_partition_specs(corpus_parquet,
+                                     target_rows_per_partition=1))
     first = _cli_extract(corpus_parquet, out, aux)
     assert first["partitions"] == parts > 1
     assert first["resumed"] == 0
@@ -177,7 +180,7 @@ def test_extract_cli_with_aux_dir(ray_session, corpus_parquet, tmp_path):
 
     direct = str(tmp_path / "direct_out")
     run_extraction(corpus_parquet, direct, sa_types=SA_TYPES,
-                   ao_types=AO_TYPES)
+                   ao_types=AO_TYPES, target_rows_per_partition=1)
     pk = ["revision_id", "property_id", "value_id", "change_target"]
 
     def value_change(root):

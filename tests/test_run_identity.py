@@ -12,10 +12,12 @@ import pytest
 AUX = {"property_labels": {"31": "instance of"}}
 
 
-def _aux():
+def _kw():
+    """The aux tables, and one partition per row group."""
     from wikidata_edit_history_ray.sources.corpus import AO_TYPES, SA_TYPES
 
-    return dict(AUX, sa_types=set(SA_TYPES), ao_types=set(AO_TYPES))
+    return dict(AUX, sa_types=set(SA_TYPES), ao_types=set(AO_TYPES),
+                target_rows_per_partition=1)
 
 
 def _executions(records) -> int:
@@ -45,7 +47,7 @@ def finished(ray_session, corpus, tmp_path):
     from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
     out = str(tmp_path / "out")
-    rows = run_extraction(corpus, out, **_aux()).take_all()
+    rows = run_extraction(corpus, out, **_kw()).take_all()
     assert len(rows) == 4 and not any(r["resumed"] for r in rows)
     return out
 
@@ -54,7 +56,7 @@ def _refused(corpus, out, **kw):
     from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
     with pytest.raises(ValueError, match=re.escape(out)):
-        run_extraction(corpus, out, **{**_aux(), **kw})
+        run_extraction(corpus, out, **{**_kw(), **kw})
 
 
 class TestOneJobPerCall:
@@ -63,7 +65,7 @@ class TestOneJobPerCall:
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         rows = run_extraction(corpus, str(tmp_path / "fresh"),
-                              **_aux()).take_all()
+                              **_kw()).take_all()
         assert len(rows) == 4 and not any(r["resumed"] for r in rows)
         assert _executions(ray_data_log) == 1
 
@@ -74,7 +76,7 @@ class TestOneJobPerCall:
         before = {f: os.path.getmtime(os.path.join(d, f))
                   for d, _, fs in os.walk(finished) for f in fs}
         del ray_data_log[:]
-        manifest = run_extraction(corpus, finished, **_aux())
+        manifest = run_extraction(corpus, finished, **_kw())
         assert _executions(ray_data_log) == 0
         rows = manifest.take_all()
         assert len(rows) == 4 and all(r["resumed"] for r in rows)
@@ -88,7 +90,7 @@ class TestOneJobPerCall:
         victim = sorted(os.listdir(os.path.join(finished, "_manifest")))[0]
         os.remove(os.path.join(finished, "_manifest", victim))
         del ray_data_log[:]
-        rows = run_extraction(corpus, finished, **_aux()).take_all()
+        rows = run_extraction(corpus, finished, **_kw()).take_all()
         assert _executions(ray_data_log) == 1
         assert {r["partition_id"] for r in rows if not r["resumed"]} == \
             {victim.removesuffix(".json")}

@@ -162,7 +162,8 @@ def main(argv=None):
                    help="DiffConfig JSON or reference-style setup.yml")
     e.add_argument("--partition-rows", type=int, default=None,
                    help="coalesce row groups into ~N-row resume partitions "
-                        "(default: one partition per row group)")
+                        "(default: ~32 MiB of uncompressed input each; 1 "
+                        "gives one partition per row group)")
     e.set_defaults(fn=cmd_extract)
 
     n = sub.add_parser("enrich", help="second-pass feature enrichment")

@@ -29,11 +29,14 @@ def run_extraction(input_path: str, output_dir: str,
     """Full multi-table extraction with lineage manifest; returns the manifest
     as a small materialized Dataset (one row per partition, in spec order).
 
-    The work units are DETERMINISTIC (file, row-group) partitions of the
-    input — never Ray batch boundaries, which vary run to run. The driver
-    lists `_manifest/` once: committed partitions are `resumed`, and only the
-    missing ones run, as one Ray Data job (none when all are committed), with
-    no duplicate part files. The input must be addressable parquet/Lance.
+    The work units are DETERMINISTIC partitions of the input, runs of
+    consecutive row groups of one file sized by `list_partition_specs`
+    (~32 MiB of uncompressed input by default, or
+    `target_rows_per_partition` rows) — never Ray batch boundaries, which
+    vary run to run. The driver lists `_manifest/` once: committed
+    partitions are `resumed`, and only the missing ones run, as one Ray Data
+    job (none when all are committed), with no duplicate part files. The
+    input must be addressable parquet/Lance.
 
     Raises ValueError when `output_dir` holds partitions this call would not
     produce: committed under another run key (config, aux tables or engine
@@ -85,8 +88,9 @@ def run_extraction(input_path: str, output_dir: str,
 
 def read_table(output_dir: str, table: str):
     """Dataset of one table `run_extraction` wrote under `output_dir` (one
-    of the 12 change tables, or 'errors'). A table no partition wrote —
-    zero-row tables get no files — reads as an empty Dataset of its schema."""
+    of the 12 change tables, or 'errors'). A table with no part file —
+    zero-row tables get none, and a rerun removes the ones it no longer
+    writes — reads as an empty Dataset of its schema."""
     import ray.data
     from pyarrow import fs as pafs
 
@@ -94,7 +98,9 @@ def read_table(output_dir: str, table: str):
     from ..stages.schemas import ERRORS_SCHEMA, TABLE_SCHEMAS
 
     fs, root = resolve_filesystem(output_dir)
-    if fs.get_file_info(f"{root}/{table}").type == pafs.FileType.Directory:
+    files = fs.get_file_info(
+        pafs.FileSelector(f"{root}/{table}", allow_not_found=True))
+    if any(f.base_name.endswith(".parquet") for f in files):
         return ray.data.read_parquet(f"{output_dir.rstrip('/')}/{table}")
     schema = ERRORS_SCHEMA if table == "errors" else TABLE_SCHEMAS[table]
     return ray.data.from_arrow(schema.empty_table())

@@ -29,6 +29,8 @@ from .schemas import (ERRORS_SCHEMA, MANIFEST_SCHEMA, ROUTING_COLS,
 _ROUTING_NAMES = [name for name, _ in ROUTING_COLS]
 _COMPRESSION = "zstd"
 MANIFEST_DIR = "_manifest"
+# default partition size, in uncompressed input bytes (`list_partition_specs`)
+TARGET_PARTITION_BYTES = 32 << 20
 
 
 def resolve_filesystem(path):
@@ -124,10 +126,14 @@ class ChangeExtractor:
     The work unit is a DETERMINISTIC input partition — consecutive row groups
     of one file — not a Ray batch: Ray's block/batch boundaries vary run to
     run, so a batch-keyed sink would duplicate output rows on a re-run. Each
-    task reads exactly its spec's row groups, diffs them, writes every
-    non-empty table to `<output_dir>/<table>/<partition_id>.parquet`, then
-    commits `<output_dir>/_manifest/<partition_id>.json` and returns that
-    manifest as one row, so the big outputs never transit the object store.
+    task reads its spec's row groups one at a time (one input row group in
+    memory, however large the partition) and diffs each into Arrow tables.
+    It then writes every non-empty table once, to
+    `<output_dir>/<table>/<partition_id>.parquet`, and removes that file of
+    every empty table, which an earlier attempt at the partition may have
+    left. Last it commits `<output_dir>/_manifest/<partition_id>.json` and
+    returns that manifest as one row, so the big outputs never transit the
+    object store.
 
     `output_dir` (and spec input files) may be a local path OR any
     pyarrow-filesystem URI (`file://`, `s3://`, ...): on a multi-node
@@ -232,31 +238,43 @@ class ChangeExtractor:
         part_id, rg = spec["partition_id"], spec["row_group"]
         in_fs, in_path = resolve_filesystem(spec["file"])
 
+        # one input row group in memory at a time, whatever the partition size
         t0 = time.time()
-        docs = pq.ParquetFile(in_path, filesystem=in_fs).read_row_groups(
-            list(range(rg, rg + spec["num_row_groups"])))
-        num_spans = int(pc.sum(pc.list_value_length(docs.column("spans"))).as_py() or 0)
-        tables, errors = self.extract_batch(docs, file_path=part_id)
-        if errors:
-            tables["errors"] = rows_to_table_errors(errors)
+        parts = {t: [] for t in TABLE_COLS}
+        errors = []
+        num_docs = num_spans = 0
+        with pq.ParquetFile(in_path, filesystem=in_fs) as pf:
+            for i in range(rg, rg + spec["num_row_groups"]):
+                docs = pf.read_row_group(i)
+                num_docs += docs.num_rows
+                num_spans += int(pc.sum(pc.list_value_length(
+                    docs.column("spans"))).as_py() or 0)
+                tables, errs = self.extract_batch(docs, file_path=part_id)
+                for name, table in tables.items():
+                    parts[name].append(table)
+                errors.extend(errs)
+        tables = {name: pa.concat_tables(ts) for name, ts in parts.items()}
+        tables["errors"] = rows_to_table_errors(errors)
         extract_seconds = time.time() - t0
 
         t0 = time.time()
         rows_per_table = {}
         for name, table in tables.items():
             rows_per_table[name] = table.num_rows
-            if table.num_rows == 0:
-                continue
-            tdir = f"{out_root}/{name}"
-            fs.create_dir(tdir, recursive=True)
-            pq.write_table(table, f"{tdir}/{part_id}.parquet",
-                           filesystem=fs, compression=_COMPRESSION)
+            path = f"{out_root}/{name}/{part_id}.parquet"
+            if table.num_rows:
+                fs.create_dir(f"{out_root}/{name}", recursive=True)
+                pq.write_table(table, path, filesystem=fs,
+                               compression=_COMPRESSION)
+            elif _fs_exists(fs, path):
+                # an earlier attempt at this partition wrote rows here
+                fs.delete_file(path)
         write_seconds = time.time() - t0
 
         m = {
             "partition_id": part_id,
             "input_fingerprint": part_id.removeprefix("part-"),
-            "num_docs": docs.num_rows,
+            "num_docs": num_docs,
             "num_spans": num_spans,
             "rows_per_table": json.dumps(rows_per_table),
             "extract_seconds": extract_seconds,
@@ -324,12 +342,18 @@ def list_partition_specs(input_path: str,
     reads only parquet footers. Each spec carries its `partition_id`: a hash
     of the file name and size, the row-group range and the row count.
 
-    Default: one spec per (file, row_group) — the finest resume granularity.
-    With target_rows_per_partition, CONSECUTIVE row groups of a file coalesce
-    until the target: at corpus scale, row-group-sized partitions mean tens
-    of thousands of small output files per table (write-bound); coarser
-    partitions trade resume granularity for sink efficiency. Both shapes stay
-    deterministic (pure function of the input footers).
+    A partition is a run of CONSECUTIVE row groups of one file. By default a
+    run closes at the first row group that brings its uncompressed bytes
+    (the footers' `total_byte_size`) to `TARGET_PARTITION_BYTES`, or at the
+    file's last row group: every partition but a file's last reaches the
+    target, and none extends past the row group that reached it, so a row
+    group over the target that starts a run is a partition of its own.
+    Each partition writes one file per non-empty table, at a cost per
+    file, so row-group-sized partitions would make the sink write-bound;
+    larger ones resume in larger units. With target_rows_per_partition,
+    runs close on input rows instead (1 gives one partition per row group,
+    the finest resume granularity). Both shapes are a pure function of the
+    input footers.
 
     `input_path` may be a local path or a pyarrow-filesystem URI; spec file
     entries keep the URI scheme so downstream tasks re-resolve the same
@@ -355,13 +379,16 @@ def list_partition_specs(input_path: str,
     specs = []
     for f in files:
         md = pq.read_metadata(f.path, filesystem=fs)
-        pending, pending_rows = [], 0
+        pending, pending_rows, pending_bytes = [], 0, 0
         for rg in range(md.num_row_groups):
             pending.append(rg)
             pending_rows += md.row_group(rg).num_rows
-            if (target_rows_per_partition is None
-                    or pending_rows >= target_rows_per_partition
-                    or rg == md.num_row_groups - 1):
+            pending_bytes += md.row_group(rg).total_byte_size
+            if target_rows_per_partition is None:
+                full = pending_bytes >= TARGET_PARTITION_BYTES
+            else:
+                full = pending_rows >= target_rows_per_partition
+            if full or rg == md.num_row_groups - 1:
                 # file size in the id: an input regenerated in place with
                 # the same name and row-group layout gets new partition ids
                 fingerprint = hashlib.sha1(
@@ -371,7 +398,7 @@ def list_partition_specs(input_path: str,
                               "num_row_groups": len(pending),
                               "num_rows": pending_rows,
                               "partition_id": f"part-{fingerprint}"})
-                pending, pending_rows = [], 0
+                pending, pending_rows, pending_bytes = [], 0, 0
     return specs
 
 

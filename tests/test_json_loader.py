@@ -13,7 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wikidata_edit_history_ray.core.values import load_json, parse_revision_text
+from wikidata_edit_history_ray.core import values
+from wikidata_edit_history_ray.core.values import (
+    load_envelope,
+    load_json,
+    parse_revision_text,
+)
 
 _CTRL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _SMART = {ord("“"): '"', ord("”"): '"', ord("„"): '"', ord("‟"): '"'}
@@ -165,3 +170,86 @@ def test_property_same_as_stdlib(value, ensure_ascii, pad, mangle):
     elif mangle == "ctrl":
         text = text.replace(",", ",\x02", 1)
     assert_same(text)
+
+
+# ----- revision envelopes: load_envelope must return what json.loads does ---
+
+_envelope_scalars = (st.none() | st.booleans()
+                     | st.integers(min_value=-2**70, max_value=2**70)
+                     | st.floats(allow_nan=True, allow_infinity=True)
+                     | st.text(st.characters(blacklist_categories=()), max_size=8))
+_SNAPSHOT = '{"claims": {"P1": [{"id": "Q1$1", "amount": "+12345678901234567890"}]}}'
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fields=st.dictionaries(
+           st.sampled_from(["parent_id", "timestamp", "username", "user_id",
+                            "comment", "deleted", "x"]),
+           _envelope_scalars, max_size=6),
+       revision_id=st.integers(min_value=-2**70, max_value=2**70),
+       text=st.sampled_from([_SNAPSHOT, "", "\ud800 &amp; “q” \x01"])
+       | st.text(st.characters(blacklist_categories=()), max_size=12),
+       ensure_ascii=st.booleans())
+def test_envelope_same_as_stdlib(fields, revision_id, text, ensure_ascii):
+    """Flat envelopes: integers up to 2**70 either way, floats (NaN and
+    infinity too), escapes and lone surrogates in strings."""
+    raw = json.dumps({"revision_id": revision_id, **fields, "text": text},
+                     ensure_ascii=ensure_ascii)
+    assert outcome(lambda t: load_envelope(t)[0], raw) == outcome(json.loads, raw)
+
+
+@pytest.mark.parametrize("raw", [
+    '{"revision_id": 123456789012345678901234567890, '
+    '"user_id": -98765432109876543210, "text": "{}"}',
+    '{"revision_id": 18446744073709551616, "user_id": 9223372036854775807, '
+    '"text": "{}"}',
+    '{"revision_id": 1, "user_id": -9223372036854775809, "text": "{}"}',
+])
+def test_envelope_big_ints_exact(raw):
+    envelope, exact = load_envelope(raw)
+    assert envelope == json.loads(raw)
+    assert type(envelope["revision_id"]) is int
+    assert type(envelope["user_id"]) is int
+    assert exact is load_json(raw)[1]
+
+
+@pytest.mark.parametrize("raw", [
+    '{"revision_id": 1, "text": "x", "size": 1.5}',
+    '{"revision_id": 1e400, "text": "x"}',
+    '{"revision_id": NaN, "text": "x"}',
+    '{"revision_id": 1, "text": "\\ud800"}',
+    '{"revision_id": 1, "text": null, "deleted": true}',
+    '[1, 2]',
+    '"x"',
+    '{bad',
+])
+def test_envelope_falls_back(raw):
+    assert outcome(lambda t: load_envelope(t)[0], raw) == outcome(json.loads, raw)
+
+
+def test_flat_envelope_skips_the_guard(monkeypatch):
+    calls = []
+    monkeypatch.setattr(values, "load_json",
+                        lambda *a, **k: calls.append(a) or load_json(*a, **k))
+    assert load_envelope('{"revision_id": 7, "text": "%s"}' % ("9" * 40)) == (
+        {"revision_id": 7, "text": "9" * 40}, True)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entity, exact", [
+    ('{"claims": {"P1": [{"amount": 123456789012345678901234}]}}', False),
+    ('{"claims": {"P1": [{"amount": 1234567890123456789}]}}', False),
+    ('{"claims": {"P1": [{"amount": 12345}]}}', True),
+])
+def test_entity_envelope_keeps_the_guard(entity, exact, monkeypatch):
+    """The fast path's nested `entity` goes through load_json: its long
+    integers stay exact, and `exact` says whether orjson parsed it."""
+    calls = []
+    monkeypatch.setattr(values, "load_json",
+                        lambda *a, **k: calls.append(a) or load_json(*a, **k))
+    raw = '{"revision_id": 3, "entity": %s}' % entity
+    envelope, got_exact = load_envelope(raw)
+    assert calls == [(raw,)]
+    assert envelope == json.loads(raw)
+    assert got_exact is exact

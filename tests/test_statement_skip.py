@@ -1,9 +1,10 @@
 """Cases where skipping an unchanged statement could go wrong.
 
 The differ skips a statement whose raw JSON is byte-identical to its form in
-the previous stored revision. Each case below pins the rows the differ
-emitted before that skip existed: the full rows of every table as one digest,
-and the value_change and qualifier_change rows in readable form.
+the previous stored revision, and a whole property when its statement list
+is. Each case below pins the rows the differ emitted before that skip
+existed: the full rows of every table as one digest, and the value_change
+and qualifier_change rows in readable form.
 """
 import hashlib
 import json
@@ -215,11 +216,120 @@ def hashes_with_digit_runs():
     return sim
 
 
+def _string(value):
+    return {"value": value, "type": "string"}
+
+
+def reordered_in_property():
+    """The statements of one property change places, alone and together
+    with an edit, and go back to their first order."""
+    sim = _sim()
+    a, b, c = (_stmt(sim, "P1", _string(x)) for x in "abc")
+    t = _stmt(sim, "P2", _qty(3))
+    sim.claims = {"P1": [a, b, c], "P2": [t]}
+    sim.snapshot_revision()
+    t["mainsnak"]["datavalue"] = _qty(4)
+    sim.snapshot_revision()
+    sim.claims = {"P1": [c, a, b], "P2": [t]}
+    t["mainsnak"]["datavalue"] = _qty(5)
+    sim.snapshot_revision()
+    b["rank"] = "preferred"
+    sim.snapshot_revision()
+    sim.claims = {"P1": [a, b, c], "P2": [t]}
+    sim.snapshot_revision()  # order only: no row, not stored
+    a["mainsnak"]["datavalue"] = _string("a2")
+    sim.snapshot_revision()
+    sim.snapshot_revision()  # no change
+    return sim
+
+
+def one_of_five_edited():
+    """One property holds five statements; one of them changes per
+    revision while the other four stay as they were."""
+    sim = _sim()
+    stmts = [_stmt(sim, "P1", _string(x)) for x in "abcde"]
+    t = _stmt(sim, "P2", _qty(1))
+    sim.claims = {"P1": stmts, "P2": [t]}
+    sim.snapshot_revision()
+    t["mainsnak"]["datavalue"] = _qty(2)
+    sim.snapshot_revision()
+    stmts[2]["mainsnak"]["datavalue"] = _string("c2")
+    sim.snapshot_revision()
+    stmts[2]["qualifiers"] = {"P9": [sim.make_qualifier("P9", _qty(1))]}
+    sim.snapshot_revision()
+    stmts[0]["rank"] = "deprecated"
+    sim.claims["P1"] = stmts[:4]
+    sim.snapshot_revision()
+    sim.claims["P1"] = stmts[:4] + [_stmt(sim, "P1", _string("f"))]
+    sim.snapshot_revision()
+    sim.snapshot_revision()  # no change
+    return sim
+
+
+def moved_between_properties():
+    """A statement moves to another property under the same id, byte for
+    byte, and back again."""
+    sim = _sim()
+    s = _stmt(sim, "P1", _qty("+5"), qualifiers={"P9": [
+        sim.make_qualifier("P9", _qty("+1"))]})
+    a = _stmt(sim, "P1", _string("a"))
+    b = _stmt(sim, "P2", _string("b"))
+    sim.claims = {"P1": [s, a], "P2": [b]}
+    sim.snapshot_revision()
+    a["mainsnak"]["datavalue"] = _string("a2")
+    sim.snapshot_revision()
+    sim.claims = {"P1": [a], "P2": [b, s]}
+    sim.snapshot_revision()
+    sim.snapshot_revision()  # no change
+    s["rank"] = "preferred"
+    sim.snapshot_revision()
+    sim.claims = {"P1": [a, s], "P2": [b]}
+    sim.snapshot_revision()
+    b["mainsnak"]["datavalue"] = _string("b2")
+    sim.snapshot_revision()
+    return sim
+
+
+def _nested(depth):
+    value = "x"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def deep_property_lists():
+    """Two properties whose statement lists are too deep for orjson (255
+    levels) in several revisions in a row: one whose statement alone is too
+    deep as well, and one whose statement alone is not."""
+    sim = _sim()
+    s = _stmt(sim, "P1", _qty("+5"), qualifiers={"P9": [
+        sim.make_qualifier("P9", _string(_nested(300)))]})
+    # the qualifier value nests 250 lists: the statement is 255 levels deep
+    # and its property's list one more
+    u = _stmt(sim, "P3", _qty("+6"), qualifiers={"P9": [
+        sim.make_qualifier("P9", _string(_nested(250)))]})
+    t = _stmt(sim, "P2", _string("a"))
+    sim.claims = {"P1": [s], "P2": [t], "P3": [u]}
+    sim.snapshot_revision()
+    for value in ("b", "c"):
+        t["mainsnak"]["datavalue"] = _string(value)
+        sim.snapshot_revision()
+    s["rank"] = "preferred"
+    u["rank"] = "deprecated"
+    sim.snapshot_revision()
+    t["mainsnak"]["datavalue"] = _string("d")
+    sim.snapshot_revision()
+    return sim
+
+
 # statements the differ skips as unchanged, per diffed revision: none in the
 # second (nothing cached yet), 4 of 5 in the third, all 5 in the no-change
 # fourth, none in the fifth (the fourth was not stored, so the cached bytes
 # belong to objects that are not the previous revision's) and 4 in the sixth
-SKIPS = {"escaped_snapshots": 4 + 5 + 4, "hashes_with_digit_runs": 4 + 5 + 4}
+SKIPS = {"escaped_snapshots": 4 + 5 + 4, "hashes_with_digit_runs": 4 + 5 + 4,
+         # counted before statements were skipped a whole property at a time
+         "reordered_in_property": 14, "one_of_five_edited": 25,
+         "moved_between_properties": 9, "deep_property_lists": 3}
 
 CASES = {
     "escaped_snapshots": escaped_snapshots,
@@ -230,7 +340,15 @@ CASES = {
     "rank_only": rank_only,
     "no_change_between": no_change_between,
     "removed_and_readded": removed_and_readded,
+    "reordered_in_property": reordered_in_property,
+    "one_of_five_edited": one_of_five_edited,
+    "moved_between_properties": moved_between_properties,
+    "deep_property_lists": deep_property_lists,
 }
+
+
+def _nested_repr(depth):
+    return "[" * depth + '"x"' + "]" * depth
 
 
 def run(sim):
@@ -258,7 +376,8 @@ def run(sim):
 
 
 # (value_change rows, qualifier_change rows, digest of every table), as the
-# differ emitted them before the unchanged-statement skip
+# differ emitted them before the unchanged-statement skip; the last four
+# cases as it emitted them before the whole-property skip
 EXPECTED = {
     "escaped_snapshots": (
         [
@@ -395,6 +514,89 @@ EXPECTED = {
         ],
         "3a7320783a4b5f23",
     ),
+    'reordered_in_property': (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"a"', '', 'wdh66883'),
+            (1, 1, '0002', '', 'CREATE', '{}', '"b"', '', 'wdh27428'),
+            (1, 1, '0003', '', 'CREATE', '{}', '"c"', '', 'wdh79648'),
+            (1, 2, '0004', '', 'CREATE', '{}', '3', '', 'wdh38497'),
+            (2, 2, '0004', '', 'UPDATE', '3', '4', 'eedf98d2', 'aa12aa69'),
+            (3, 2, '0004', '', 'UPDATE', '4', '5', 'aa12aa69', '2400e1ad'),
+            (4, 1, '0002', 'rank', 'UPDATE', '"normal"', '"preferred"', 'dc770452', 'dc770452'),
+            (6, 1, '0001', '', 'UPDATE', '"a"', '"a2"', 'c9fef5dc', '0caec5ca'),
+        ],
+        [
+        ],
+        'b7b8216e1d981efe',
+    ),
+    'one_of_five_edited': (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"a"', '', 'wdh66883'),
+            (1, 1, '0002', '', 'CREATE', '{}', '"b"', '', 'wdh27428'),
+            (1, 1, '0003', '', 'CREATE', '{}', '"c"', '', 'wdh79648'),
+            (1, 1, '0004', '', 'CREATE', '{}', '"d"', '', 'wdh38497'),
+            (1, 1, '0005', '', 'CREATE', '{}', '"e"', '', 'wdh85383'),
+            (1, 2, '0006', '', 'CREATE', '{}', '1', '', 'wdh74136'),
+            (2, 2, '0006', '', 'UPDATE', '1', '2', 'c3313ca0', '2a0cd489'),
+            (3, 1, '0003', '', 'UPDATE', '"c"', '"c2"', '5892d97c', '0c5f477d'),
+            (5, 1, '0001', 'rank', 'UPDATE', '"normal"', '"deprecated"', 'c9fef5dc', 'c9fef5dc'),
+            (5, 1, '0005', '', 'DELETE', '"e"', '{}', '1aac8979', ''),
+            (5, 1, '0005', 'rank', 'DELETE', '"normal"', '{}', '1aac8979', ''),
+            (6, 1, '0007', '', 'CREATE', '{}', '"f"', '', '1ba93f28'),
+            (6, 1, '0007', 'rank', 'CREATE', '{}', '"normal"', '', '1ba93f28'),
+        ],
+        [
+            (4, '0003', 9, 'CREATE', '{}', '1', 'c3313ca0'),
+        ],
+        '87e0375be363c078',
+    ),
+    'moved_between_properties': (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"+5"', '', 'wdh27428'),
+            (1, 1, '0002', '', 'CREATE', '{}', '"a"', '', 'wdh79648'),
+            (1, 2, '0003', '', 'CREATE', '{}', '"b"', '', 'wdh38497'),
+            (2, 1, '0002', '', 'UPDATE', '"a"', '"a2"', 'c9fef5dc', '0caec5ca'),
+            (3, 1, '0001', '', 'DELETE', '"+5"', '{}', '404a12cc', ''),
+            (3, 1, '0001', 'rank', 'DELETE', '"normal"', '{}', '404a12cc', ''),
+            (3, 2, '0001', '', 'CREATE', '{}', '"+5"', '', '404a12cc'),
+            (3, 2, '0001', 'rank', 'CREATE', '{}', '"normal"', '', '404a12cc'),
+            (5, 2, '0001', 'rank', 'UPDATE', '"normal"', '"preferred"', '404a12cc', '404a12cc'),
+            (6, 1, '0001', '', 'CREATE', '{}', '"+5"', '', '404a12cc'),
+            (6, 1, '0001', 'rank', 'CREATE', '{}', '"preferred"', '', '404a12cc'),
+            (6, 2, '0001', '', 'DELETE', '"+5"', '{}', '404a12cc', ''),
+            (6, 2, '0001', 'rank', 'DELETE', '"preferred"', '{}', '404a12cc', ''),
+            (7, 2, '0003', '', 'UPDATE', '"b"', '"b2"', 'dc770452', '9267dddb'),
+        ],
+        [
+            (1, '0001', 9, 'CREATE', '{}', '"+1"', '046d4b53'),
+            (3, '0001', 9, 'CREATE', '{}', '"+1"', '046d4b53'),
+            (3, '0001', 9, 'DELETE', '"+1"', '{}', '046d4b53'),
+            (6, '0001', 9, 'CREATE', '{}', '"+1"', '046d4b53'),
+            (6, '0001', 9, 'DELETE', '"+1"', '{}', '046d4b53'),
+        ],
+        '5d9499df8b72aa8d',
+    ),
+    'deep_property_lists': (
+        [
+            (1, -1, 'abel', '', 'CREATE', '{}', '"L"', '', ''),
+            (1, 1, '0001', '', 'CREATE', '{}', '"+5"', '', 'wdh27428'),
+            (1, 2, '0003', '', 'CREATE', '{}', '"a"', '', 'wdh85383'),
+            (1, 3, '0002', '', 'CREATE', '{}', '"+6"', '', 'wdh38497'),
+            (2, 2, '0003', '', 'UPDATE', '"a"', '"b"', 'c9fef5dc', 'dc770452'),
+            (3, 2, '0003', '', 'UPDATE', '"b"', '"c"', 'dc770452', '5892d97c'),
+            (4, 1, '0001', 'rank', 'UPDATE', '"normal"', '"preferred"', '404a12cc', '404a12cc'),
+            (4, 3, '0002', 'rank', 'UPDATE', '"normal"', '"deprecated"', '18d3cba3', '18d3cba3'),
+            (5, 2, '0003', '', 'UPDATE', '"c"', '"d"', '5892d97c', '83456629'),
+        ],
+        [
+            (1, '0001', 9, 'CREATE', '{}', _nested_repr(300), '9327cfb2'),
+            (1, '0002', 9, 'CREATE', '{}', _nested_repr(250), 'a21dc13c'),
+        ],
+        '4e876f20b7d92feb',
+    ),
 }
 
 
@@ -410,14 +612,19 @@ def test_rows_unchanged(case):
 
 @pytest.mark.parametrize("case", sorted(SKIPS))
 def test_skip_fires(case, monkeypatch):
+    """Counts the statements skipped a whole property at a time and one at
+    a time: the sum must not change with the level that skips them."""
     skipped = []
-    unchanged_raw = PageDiffer._unchanged_raw
+    unchanged_stmts = PageDiffer._unchanged_stmts
 
-    def spy(self, sid, prev_stmt, curr_stmt):
-        hit = unchanged_raw(self, sid, prev_stmt, curr_stmt)
-        skipped.extend([sid] if hit else [])
+    def spy(self, pid, prev_stmts, curr_stmts):
+        hit = unchanged_stmts(self, pid, prev_stmts, curr_stmts)
+        if hit is True:
+            skipped.extend(s["id"] for s in curr_stmts)
+        else:
+            skipped.extend(hit)
         return hit
 
-    monkeypatch.setattr(PageDiffer, "_unchanged_raw", spy)
+    monkeypatch.setattr(PageDiffer, "_unchanged_stmts", spy)
     run(CASES[case]())
     assert len(skipped) == SKIPS[case]

@@ -5,6 +5,13 @@ sequence), diffs each parseable snapshot against the previous stored one, and
 emits rows for every logical change table. All state is per-document, which is
 what makes extraction embarrassingly parallel across docs.
 
+Every revision is a full snapshot, so most of it repeats the previous stored
+one. In a snapshot that orjson parsed exactly, a property whose statement list
+is byte-identical to its previous form is skipped whole; in a property that
+changed, so is each byte-identical statement (`PageDiffer._unchanged_stmts`).
+Neither can yield a row, so a hot entity costs what its edits change, not
+what its snapshot holds.
+
 Behavioral parity targets in the reference (caroocortes/wikidata-edit-history):
 - revision walk + skip rules + prev-pointer repair  scripts/page_parser.py:1956-2129
 - top-level dispatch                                scripts/page_parser.py:1890-1953
@@ -63,6 +70,7 @@ from .values import (
     get_time_feature,
     homogenize_snak,
     id_to_int,
+    load_envelope,
     load_json,
     parse_snak_datavalue,
     parse_statement_datavalue,
@@ -74,6 +82,15 @@ from .values import (
 )
 
 _TIME_PAD_RE = re.compile(r"^([+-])0+(?=\d{4}-)")
+
+
+def _raw_bytes(obj):
+    """orjson bytes of obj, or None when it nests deeper than orjson
+    serializes (255 levels); callers never count two None as equal."""
+    try:
+        return orjson.dumps(obj)
+    except orjson.JSONEncodeError:
+        return None
 
 
 _CLASS_FILTER_NAMES = ("scholarly_articles_filter", "astronomical_objects_filter",
@@ -221,9 +238,10 @@ class PageDiffer:
         self.redirect_qid = ""
         self.rev_meta = {}
         self._stmt_hash_cache = {}
-        # statement id -> (statement object, its raw orjson bytes taken
-        # before homogenize_snak rewrote it); see _unchanged_raw
-        self._raw_stmts = {}
+        # property id -> (statement list, its raw orjson bytes, {statement
+        # id: raw statement bytes}), all taken before homogenize_snak rewrote
+        # the list; see _unchanged_stmts
+        self._raw_pids = {}
         self._snapshot_exact = False  # load_json's flag for the current snapshot
         self.entity_data = {
             "label": "", "alias": "", "description": "",
@@ -781,39 +799,63 @@ class PageDiffer:
                 self._handle_qualifier_changes(pid, value_id, s, None)
                 self._handle_reference_changes(pid, value_id, s, None)
 
-    def _unchanged_raw(self, sid, prev_stmt, curr_stmt):
-        """True when curr_stmt is byte-identical to the raw form prev_stmt
-        had when it was parsed; such a statement yields no row, so the diff
-        skips its homogenize, hash, rank, qualifier and reference work.
-        Records curr_stmt's raw bytes for the next revision, so call it
-        before homogenize_snak rewrites curr_stmt.
+    def _unchanged_stmts(self, pid, prev_stmts, curr_stmts):
+        """The statements of property `pid` that are byte-identical to their
+        raw form in the previous stored revision. Such a statement yields no
+        row, so the diff skips its homogenize, hash, rank, qualifier and
+        reference work. Returns True when the whole list is byte-identical
+        (same statements, same order: the property is skipped with no
+        per-statement work), else the set of unchanged statement ids.
+        Records curr_stmts' raw bytes for the next revision, so call it
+        before homogenize_snak rewrites them.
 
-        The cached bytes count only if they were taken from the very object
-        that is now prev_stmt: a no-change revision does not advance
+        The cached bytes count only if they were taken from the very list
+        that is now prev_stmts: a no-change revision does not advance
         previous_revision. Bytes, not ==, because 1 == 1.0 == True hides
         changes the value hash sees. Callers pass only statements of an
-        `exact` snapshot (values.load_json), whose bytes are injective."""
-        try:
-            curr_raw = orjson.dumps(curr_stmt)
-        except orjson.JSONEncodeError:  # nested deeper than orjson allows
-            return False
-        cached = self._raw_stmts.get(sid)
-        self._raw_stmts[sid] = (curr_stmt, curr_raw)
-        return (cached is not None and cached[0] is prev_stmt
-                and cached[1] == curr_raw)
+        `exact` snapshot (values.load_json), whose bytes are injective. A
+        list or statement that orjson cannot serialize is never skipped."""
+        cached = self._raw_pids.get(pid)
+        prev_raw, prev_by_id = None, {}
+        if cached is not None and cached[0] is prev_stmts:
+            _, prev_raw, prev_by_id = cached
+        curr_raw = _raw_bytes(curr_stmts)
+        if curr_raw is not None and curr_raw == prev_raw:
+            self._raw_pids[pid] = (curr_stmts, curr_raw, prev_by_id)
+            return True
+        curr_by_id = {}
+        for stmt in curr_stmts:
+            raw = _raw_bytes(stmt)
+            if raw is None:
+                curr_by_id.pop(stmt["id"], None)
+            else:
+                curr_by_id[stmt["id"]] = raw
+        self._raw_pids[pid] = (curr_stmts, curr_raw, curr_by_id)
+        return {sid for sid, raw in curr_by_id.items()
+                if prev_by_id.get(sid) == raw}
 
     def _handle_remaining_pids(self, remaining_pids, prev_claims, curr_claims):
+        """Diff the properties present in both revisions, statement by
+        statement, matched by statement id. In an `exact` snapshot a
+        property or statement that is byte-identical to the previous stored
+        revision is skipped first (_unchanged_stmts)."""
         change_detected = False
         exact = self._snapshot_exact
+        unchanged = ()
         for pid in remaining_pids:
-            prev_by_id = {stmt["id"]: stmt for stmt in prev_claims.get(pid, [])}
-            curr_by_id = {stmt["id"]: stmt for stmt in curr_claims.get(pid, [])}
+            prev_stmts = prev_claims[pid]
+            curr_stmts = curr_claims[pid]
+            if exact:
+                unchanged = self._unchanged_stmts(pid, prev_stmts, curr_stmts)
+                if unchanged is True:
+                    continue
+            prev_by_id = {stmt["id"]: stmt for stmt in prev_stmts}
+            curr_by_id = {stmt["id"]: stmt for stmt in curr_stmts}
             for sid in dict.fromkeys([*prev_by_id, *curr_by_id]):
+                if sid in unchanged:
+                    continue
                 prev_stmt = prev_by_id.get(sid)
                 curr_stmt = curr_by_id.get(sid)
-                if curr_stmt and exact and self._unchanged_raw(
-                        sid, prev_stmt, curr_stmt):
-                    continue
                 old_hash = new_hash = None
                 if prev_stmt:
                     prev_stmt["mainsnak"] = homogenize_snak(prev_stmt["mainsnak"])
@@ -944,7 +986,9 @@ class PageDiffer:
         `spans`: iterable of dicts with keys kind/text/media_ref/offset, in any
         order (sorted by offset here). kind='text' spans carry the revision
         envelope JSON; kind='media' spans are preserved in the doc_spans lineage
-        output and skipped by the differ.
+        output and skipped by the differ. A text span whose envelope is not
+        JSON, not an object or has no usable revision_id is a poison span:
+        it is skipped and does not advance the previous revision.
 
         Returns {table_name: [row tuples]} plus routing flags.
         """
@@ -968,15 +1012,19 @@ class PageDiffer:
             if (span.get("kind") or "") != "text":
                 continue
             try:
-                envelope, exact = load_json(span["text"])
+                envelope, exact = load_envelope(span["text"])
             except (json.JSONDecodeError, TypeError):
                 continue  # malformed envelope: poison span, skip
+            if not isinstance(envelope, dict):
+                continue  # not an object: poison span, skip
             if envelope.get("deleted", False):
                 # deleted revision: skipped; prev-pointer repair is implicit
                 # because we track last_non_deleted_revision_id
                 continue
-
-            revision_id = int(envelope["revision_id"])
+            try:
+                revision_id = int(envelope["revision_id"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                continue  # no usable revision id: poison span, skip
             username = (envelope.get("username") or "").strip()
             raw_text = envelope.get("text")
             if raw_text is None and "entity" in envelope:

@@ -99,6 +99,8 @@ def tag_reverted_edits(changes_by_pv: dict, value_changes: list, time_threshold:
             num_rev_update += 1
 
     for (property_id, value_id, change_target), pv_changes in changes_by_pv.items():
+        if len(pv_changes) < 2:
+            continue  # a lone change neither reverts nor is reverted
         pv_changes.sort(key=lambda x: x["timestamp"])
         reversion_keys = set()
         reverted_keys = set()

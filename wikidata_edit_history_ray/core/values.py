@@ -69,6 +69,34 @@ def load_json(text, clean: bool = False):
     return (_recover_revision_text(text) if clean else json.loads(text)), False
 
 
+_SCALAR_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def load_envelope(text):
+    """Parse a revision envelope exactly as `json.loads` does; returns
+    (obj, exact) like load_json, without its long-integer scan in the
+    common case.
+
+    An envelope is a flat object: a few scalar fields beside the snapshot
+    `text`, a string that holds nearly all of its bytes. orjson returns what
+    `json.loads` returns except in two ways: it turns an integer outside 64
+    bits into a float, and it raises on NaN, Infinity, 1e400 and lone
+    surrogates. So an object whose `text` is a string and whose values are
+    all scalars, none of them a float, is the stdlib result as orjson parsed
+    it. Anything else (a float, a nested value such as the fast path's
+    `entity`, an orjson error) goes through load_json and its guard."""
+    if type(text) is str:
+        try:
+            obj = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if (type(obj) is dict and type(obj.get("text")) is str
+                    and all(type(v) in _SCALAR_TYPES for v in obj.values())):
+                return obj, True
+    return load_json(text)
+
+
 def _clean(raw_text: str):
     """Stage 1's cleaned text and its guard bytes (_number_guard).
 

@@ -110,6 +110,14 @@ class TestQuantityFeatures:
         r = F.create_quantity_features('"+12"', '"+13"')
         assert r[4] == 1 and r[0] == 0
 
+    def test_amount_not_a_finite_number(self):
+        # a JSON `true` amount, NaN and infinities: no float comparison
+        for old, new in ((True, '"+12"'), ('"+12"', "true"), ('"nan"', '"+1"'),
+                         ('"+inf"', '"+inf"'), ('"-1e400"', '"+1"')):
+            sign, _, _, _, whole, _, _, same = F.create_quantity_features(
+                old, new)
+            assert (sign, whole, same) == (0, 0, 0), (old, new)
+
 
 class TestGlobeFeatures:
     def test_precision_and_containment(self):

@@ -1,7 +1,9 @@
 """A malformed revision envelope costs its own span, not the entity.
 
-A span whose envelope is not JSON, not a JSON object, or has no usable
-revision_id is skipped like a revision whose snapshot cannot be recovered:
+A span whose envelope is not JSON, not a JSON object, has no usable
+revision_id, has a username, timestamp, comment or text that is neither null
+nor a string, or whose snapshot is a JSON scalar is skipped like a revision
+whose snapshot cannot be recovered:
 the previous revision does not advance, and the later revisions are diffed
 and written as if the span were not there.
 """
@@ -23,6 +25,12 @@ def _envelope(revision_id: str, text: str) -> str:
             '"username": "Eve", "text": %s}' % (revision_id, json.dumps(text)))
 
 
+def _fields(snapshot: str, **fields) -> str:
+    """A valid envelope with the given fields replaced."""
+    return json.dumps({"revision_id": 55999, "timestamp": "2020-01-01T00:00:00Z",
+                       "username": "Eve", "text": snapshot, **fields})
+
+
 def _poisons(snapshot: str) -> dict:
     return {
         "list": "[]",
@@ -37,6 +45,12 @@ def _poisons(snapshot: str) -> dict:
         "overflow_revision_id": _envelope("1e400", snapshot),
         "nan_revision_id": _envelope("NaN", snapshot),
         "broken": "{bad",
+        "number_username": _fields(snapshot, username=5),
+        "list_timestamp": _fields(snapshot, timestamp=[1]),
+        "object_comment": _fields(snapshot, comment={}),
+        "number_text": _fields(snapshot, text=5),
+        "list_text": _fields(snapshot, text=[]),
+        "scalar_snapshot": _fields(snapshot, text="5"),
     }
 
 

@@ -1,7 +1,7 @@
 """Driver-side resume: a finished partition is reused only under the run key
 that produced it, an output dir whose partitions the input no longer has is
-refused, and a call starts one Ray Data execution, or none when every
-partition is committed."""
+refused, and a call submits one extraction task per partition that is not
+committed, and starts no Ray Data execution."""
 import json
 import os
 import re
@@ -23,6 +23,36 @@ def _kw():
 def _executions(records) -> int:
     return sum(r.getMessage().startswith("Starting execution of Dataset")
                for r in records)
+
+
+@pytest.fixture
+def submitted(ray_session, monkeypatch):
+    """Partition ids of the extraction tasks submitted on the driver: the
+    `.remote` of every `ray.remote(...)(extract_partition)` is counted."""
+    import ray
+
+    from wikidata_edit_history_ray.stages.extract import extract_partition
+
+    ids = []
+    make_remote = ray.remote
+
+    def remote(*args, **kwargs):
+        decorate = make_remote(*args, **kwargs)
+
+        def counted(fn):
+            task = decorate(fn)
+            if fn is extract_partition:
+                submit = task.remote
+
+                def count(spec, *rest):
+                    ids.append(spec["partition_id"])
+                    return submit(spec, *rest)
+                task.remote = count
+            return task
+        return counted
+
+    monkeypatch.setattr(ray, "remote", remote)
+    return ids
 
 
 @pytest.fixture(scope="module")
@@ -60,40 +90,71 @@ def _refused(corpus, out, **kw):
 
 
 class TestOneJobPerCall:
-    def test_fresh_run_starts_one_execution(self, ray_data_log, corpus,
-                                            tmp_path):
+    """A call is one extraction job: one Ray task per partition not yet
+    committed, and no Ray Data execution."""
+
+    def test_fresh_run_submits_one_task_per_partition(
+            self, ray_data_log, submitted, corpus, tmp_path):
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         rows = run_extraction(corpus, str(tmp_path / "fresh"),
                               **_kw()).take_all()
         assert len(rows) == 4 and not any(r["resumed"] for r in rows)
-        assert _executions(ray_data_log) == 1
+        assert submitted == [r["partition_id"] for r in rows]
+        assert _executions(ray_data_log) == 0
 
     def test_resumed_run_starts_no_execution(self, finished, corpus,
-                                             ray_data_log):
+                                             ray_data_log, submitted):
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         before = {f: os.path.getmtime(os.path.join(d, f))
                   for d, _, fs in os.walk(finished) for f in fs}
-        del ray_data_log[:]
-        manifest = run_extraction(corpus, finished, **_kw())
-        assert _executions(ray_data_log) == 0
-        rows = manifest.take_all()
+        del ray_data_log[:], submitted[:]
+        rows = run_extraction(corpus, finished, **_kw()).take_all()
+        assert submitted == [] and _executions(ray_data_log) == 0
         assert len(rows) == 4 and all(r["resumed"] for r in rows)
         assert {f: os.path.getmtime(os.path.join(d, f))
                 for d, _, fs in os.walk(finished) for f in fs} == before
 
     def test_deleted_manifest_reruns_only_that_partition(
-            self, finished, corpus, ray_data_log):
+            self, finished, corpus, ray_data_log, submitted):
         from wikidata_edit_history_ray.pipelines.kg import run_extraction
 
         victim = sorted(os.listdir(os.path.join(finished, "_manifest")))[0]
         os.remove(os.path.join(finished, "_manifest", victim))
-        del ray_data_log[:]
+        del ray_data_log[:], submitted[:]
         rows = run_extraction(corpus, finished, **_kw()).take_all()
-        assert _executions(ray_data_log) == 1
-        assert {r["partition_id"] for r in rows if not r["resumed"]} == \
-            {victim.removesuffix(".json")}
+        assert submitted == [victim.removesuffix(".json")]
+        assert _executions(ray_data_log) == 0
+        assert [r["partition_id"] for r in rows if not r["resumed"]] == \
+            submitted
+
+
+class TestFailedRun:
+    def test_raise_leaves_every_healthy_partition_committed(
+            self, ray_session, corpus, tmp_path):
+        """One partition fails to write its value_change file. The call
+        raises only once the other three are committed, so no task is left
+        running; a rerun after the fault is gone redoes only that one."""
+        from ray.exceptions import RayTaskError
+
+        from wikidata_edit_history_ray.pipelines.kg import run_extraction
+        from wikidata_edit_history_ray.stages.extract import \
+            list_partition_specs
+
+        ids = [s["partition_id"] for s in list_partition_specs(
+            corpus, target_rows_per_partition=1)]
+        victim = ids[1]
+        blocker = tmp_path / "out" / "value_change" / f"{victim}.parquet"
+        blocker.mkdir(parents=True)
+        with pytest.raises(RayTaskError):
+            run_extraction(corpus, str(tmp_path / "out"), **_kw())
+        assert sorted(os.listdir(tmp_path / "out" / "_manifest")) == sorted(
+            f"{p}.json" for p in ids if p != victim)
+
+        blocker.rmdir()
+        rows = run_extraction(corpus, str(tmp_path / "out"), **_kw()).take_all()
+        assert [r["partition_id"] for r in rows if not r["resumed"]] == [victim]
 
 
 class TestRunIdentity:

@@ -25,8 +25,11 @@ Behavioral parity targets in the reference (caroocortes/wikidata-edit-history):
 - per-entity stats + routing flags                  scripts/page_parser.py:95-150, 2247-2326
 
 Known deliberate divergences (documented, all crash paths in the reference):
-- P31/P279 type-set removal uses set.discard (reference uses set.remove, which
-  raises KeyError and aborts the page on inconsistent input).
+- P31 type-set removal uses set.discard (reference uses set.remove, which
+  raises KeyError and aborts the page on inconsistent input), and the set
+  keeps only string values (reference hashes any value, which raises
+  TypeError on a dict value). The reference's P279 set is not kept: nothing
+  reads it.
 - cross-datatype metadata pairing iterates keys in insertion order (reference
   iterates Python sets, whose order is salted per process — the reference is
   not deterministic across runs; we pin a deterministic order).
@@ -245,7 +248,7 @@ class PageDiffer:
         self._snapshot_exact = False  # load_json's flag for the current snapshot
         self.entity_data = {
             "label": "", "alias": "", "description": "",
-            "p31_types": set(), "p279_types": set(),
+            "p31_types": set(),
         }
         self.stats = {
             "entity_id": entity_id, "entity_label": "", "entity_types_31": "",
@@ -659,6 +662,19 @@ class PageDiffer:
             return True
         return False
 
+    def _track_p31(self, pid, sid, old_value, new_value):
+        """Keep `entity_data["p31_types"]`, the (statement id, value) pairs
+        of the entity's P31 statements, current across one statement
+        change. Only a string value (an item id) can match sa_types /
+        ao_types, so no other value is recorded."""
+        if pid != "P31":
+            return
+        types = self.entity_data["p31_types"]
+        if isinstance(old_value, str):
+            types.discard((sid, old_value))
+        if isinstance(new_value, str):
+            types.add((sid, new_value))
+
     # ----- full-create / full-delete expansion (D2, D3) -----
     def _changes_created_entity(self, revision):
         claims = safe_get_nested(revision, "claims")
@@ -668,10 +684,7 @@ class PageDiffer:
                 # first-revision creates keep the upstream-provided snak hash
                 new_hash = stmt["mainsnak"].get("hash", None) if stmt else None
                 value_id = stmt.get("id", None)
-                if property_id == "P31":
-                    self.entity_data["p31_types"].add((value_id, value))
-                if property_id == "P279":
-                    self.entity_data["p279_types"].add((value_id, value))
+                self._track_p31(property_id, value_id, None, value)
                 self._save_change(id_to_int(property_id), value_id, None, value,
                                   None, datatype, None, CREATE_PROPERTY_VALUE,
                                   None, new_hash)
@@ -687,10 +700,7 @@ class PageDiffer:
                 value, datatype, _ = parse_statement_datavalue(stmt)
                 old_hash = self._stmt_hash(stmt.get("id"), stmt["mainsnak"]) if stmt else None
                 value_id = stmt.get("id", None)
-                if property_id == "P31":
-                    self.entity_data["p31_types"].discard((value_id, value))
-                if property_id == "P279":
-                    self.entity_data["p279_types"].discard((value_id, value))
+                self._track_p31(property_id, value_id, value, None)
                 self._save_change(id_to_int(property_id), value_id, value, None,
                                   datatype, None, None, DELETE_PROPERTY_VALUE,
                                   old_hash, None)
@@ -755,10 +765,7 @@ class PageDiffer:
                 s["mainsnak"] = homogenize_snak(s["mainsnak"])
                 new_value, new_datatype, new_md = parse_statement_datavalue(s)
                 value_id = s.get("id", None)
-                if pid == "P31":
-                    self.entity_data["p31_types"].add((value_id, new_value))
-                if pid == "P279":
-                    self.entity_data["p279_types"].add((value_id, new_value))
+                self._track_p31(pid, value_id, None, new_value)
                 new_hash = self._stmt_hash(value_id, s["mainsnak"]) if s else None
                 self._save_change(id_to_int(pid), value_id, None, new_value,
                                   None, new_datatype, None, CREATE_PROPERTY_VALUE,
@@ -780,10 +787,7 @@ class PageDiffer:
                 s["mainsnak"] = homogenize_snak(s["mainsnak"])
                 old_value, old_datatype, old_md = parse_statement_datavalue(s)
                 value_id = s.get("id", None)
-                if pid == "P31":
-                    self.entity_data["p31_types"].discard((value_id, old_value))
-                if pid == "P279":
-                    self.entity_data["p279_types"].discard((value_id, old_value))
+                self._track_p31(pid, value_id, old_value, None)
                 old_hash = self._stmt_hash(value_id, s["mainsnak"]) if s else None
                 self._save_change(id_to_int(pid), value_id, old_value, None,
                                   old_datatype, None, None, DELETE_PROPERTY_VALUE,
@@ -872,10 +876,7 @@ class PageDiffer:
                     old_value, old_datatype, old_md = parse_statement_datavalue(prev_stmt)
                     new_value, new_datatype, new_md = None, None, None
                     change_detected = True
-                    if pid == "P31":
-                        self.entity_data["p31_types"].discard((sid, old_value))
-                    if pid == "P279":
-                        self.entity_data["p279_types"].discard((sid, old_value))
+                    self._track_p31(pid, sid, old_value, None)
                     self._save_change(id_to_int(pid), sid, old_value, new_value,
                                       old_datatype, new_datatype, None,
                                       DELETE_PROPERTY_VALUE, old_hash, new_hash)
@@ -887,10 +888,7 @@ class PageDiffer:
                     new_value, new_datatype, new_md = parse_statement_datavalue(curr_stmt)
                     old_value, old_datatype, old_md = None, None, None
                     change_detected = True
-                    if pid == "P31":
-                        self.entity_data["p31_types"].add((sid, new_value))
-                    if pid == "P279":
-                        self.entity_data["p279_types"].add((sid, new_value))
+                    self._track_p31(pid, sid, None, new_value)
                     self._save_change(id_to_int(pid), sid, old_value, new_value,
                                       old_datatype, new_datatype, None,
                                       CREATE_PROPERTY_VALUE, old_hash, new_hash)
@@ -917,12 +915,7 @@ class PageDiffer:
                                 id_to_int(pid), sid, old_value, new_value,
                                 old_datatype, new_datatype, None,
                                 UPDATE_PROPERTY_VALUE, old_hash, new_hash)
-                        if pid == "P31":
-                            self.entity_data["p31_types"].discard((sid, old_value))
-                            self.entity_data["p31_types"].add((sid, new_value))
-                        if pid == "P279":
-                            self.entity_data["p279_types"].discard((sid, old_value))
-                            self.entity_data["p279_types"].add((sid, new_value))
+                        self._track_p31(pid, sid, old_value, new_value)
                     if ((old_datatype != new_datatype or old_md != new_md)
                             and self.cfg.extract_datatype_metadata):
                         self._handle_datatype_metadata_changes(
@@ -987,8 +980,10 @@ class PageDiffer:
         order (sorted by offset here). kind='text' spans carry the revision
         envelope JSON; kind='media' spans are preserved in the doc_spans lineage
         output and skipped by the differ. A text span whose envelope is not
-        JSON, not an object or has no usable revision_id is a poison span:
-        it is skipped and does not advance the previous revision.
+        JSON, not an object, has no usable revision_id, has a username,
+        timestamp, comment or text that is neither null nor a string, or
+        whose snapshot is a JSON scalar is a poison span: it is skipped and
+        does not advance the previous revision.
 
         Returns {table_name: [row tuples]} plus routing flags.
         """
@@ -1025,22 +1020,28 @@ class PageDiffer:
                 revision_id = int(envelope["revision_id"])
             except (KeyError, TypeError, ValueError, OverflowError):
                 continue  # no usable revision id: poison span, skip
-            username = (envelope.get("username") or "").strip()
-            raw_text = envelope.get("text")
+            username, timestamp, comment, raw_text = (
+                envelope.get(k) for k in ("username", "timestamp", "comment",
+                                          "text"))
+            if not all(v is None or isinstance(v, str)
+                       for v in (username, timestamp, comment, raw_text)):
+                continue  # a field neither null nor a string: poison span, skip
+            username = (username or "").strip()
             if raw_text is None and "entity" in envelope:
                 # fast-path envelopes may carry the parsed snapshot directly
                 current_revision = envelope["entity"]
-                raw_text = ""
             else:
                 t_parse = time.perf_counter()
                 current_revision, exact = load_json(raw_text, clean=True)
                 self.stats["total_xml_parse_time_sec"] += time.perf_counter() - t_parse
+            if isinstance(current_revision, (str, int, float)):
+                continue  # a snapshot that is a JSON scalar: poison span, skip
 
             self.rev_meta = {
                 "entity_id": entity_id,
                 "revision_id": revision_id,
-                "timestamp": (envelope.get("timestamp") or "").strip(),
-                "comment": (envelope.get("comment") or "").strip(),
+                "timestamp": (timestamp or "").strip(),
+                "comment": (comment or "").strip(),
                 "username": username,
                 "user_id": str(envelope.get("user_id") or "").strip(),
                 "user_type": classify_user(username),

@@ -341,9 +341,13 @@ def _digits_len(v) -> int:
     return len(str(v).replace("-", "").replace("+", "").replace(".", ""))
 
 
-def _sign_change_num(old, new) -> int:
-    old_f, new_f = float(old), float(new)
-    return int((old_f * new_f < 0) and (math.floor(abs(old_f)) == math.floor(abs(new_f))))
+def _finite_floats(old, new):
+    """(old, new) as floats, or None unless both are finite floats."""
+    try:
+        pair = float(old), float(new)
+    except (TypeError, ValueError):
+        return None
+    return pair if math.isfinite(pair[0]) and math.isfinite(pair[1]) else None
 
 
 def _same_float(old, new) -> int:
@@ -360,9 +364,16 @@ def create_quantity_features(old_value, new_value):
     old_str = old_value.replace('"', "").replace("+", "").strip()
     new_str = new_value.replace('"', "").replace("+", "").strip()
 
-    sign_change = _sign_change_num(old_str, new_str)
+    floats = _finite_floats(old_str, new_str)
+    if floats is None:  # an amount that is not a finite number
+        sign_change = whole_number_change = same_float_value = 0
+    else:
+        old_f, new_f = floats
+        old_whole, new_whole = math.floor(abs(old_f)), math.floor(abs(new_f))
+        sign_change = int(old_f * new_f < 0 and old_whole == new_whole)
+        whole_number_change = int(old_whole != new_whole)
+        same_float_value = int(old_f == new_f)
     precision_change = _precision_only_change(old_str, new_str)
-    whole_number_change = int(math.floor(abs(float(old_str))) != math.floor(abs(float(new_str))))
     old_is_prefix_of_new = int(new_str.startswith(old_str))
     new_is_prefix_of_old = int(old_str.startswith(new_str))
     length_increase = (
@@ -371,7 +382,6 @@ def create_quantity_features(old_value, new_value):
     length_decrease = (
         int(_digits_len(new_str) < _digits_len(old_str)) if new_is_prefix_of_old else 0
     )
-    same_float_value = _same_float(old_str, new_str)
 
     return (
         sign_change, precision_change, length_increase, length_decrease,

@@ -1,8 +1,8 @@
 """The KG change-history construction pipeline, Ray-Data-first.
 
 - `run_extraction(input_path, output_dir, ...)` — the one extraction path:
-  one streaming pass that diffs each document once and fans out ALL logical
-  tables to partitioned Parquet with a per-partition lineage manifest;
+  one Ray task per input partition diffs each document once and fans out ALL
+  logical tables to partitioned Parquet with a per-partition lineage manifest;
   restartable (the driver skips partitions whose manifest is committed under
   the same run key). This replaces the reference's db_writer process +
   processed-files claim protocol (scripts/db_writer.py, main.py:62-131).
@@ -34,9 +34,12 @@ def run_extraction(input_path: str, output_dir: str,
     (~32 MiB of uncompressed input by default, or
     `target_rows_per_partition` rows) — never Ray batch boundaries, which
     vary run to run. The driver lists `_manifest/` once: committed
-    partitions are `resumed`, and only the missing ones run, as one Ray Data
-    job (none when all are committed), with no duplicate part files. The
-    input must be addressable parquet/Lance.
+    partitions are `resumed`, and only the missing ones run, each as one
+    Ray task (`stages.extract.extract_partition`; none when all are
+    committed), with no duplicate part files. The input must be addressable
+    parquet/Lance. When a task fails, the call raises only after every
+    other task has finished: the healthy partitions are committed and
+    nothing is left running.
 
     Raises ValueError when `output_dir` holds partitions this call would not
     produce: committed under another run key (config, aux tables or engine
@@ -46,7 +49,7 @@ def run_extraction(input_path: str, output_dir: str,
     import ray
     import ray.data
 
-    from ..stages.extract import (ChangeExtractor, list_partition_specs,
+    from ..stages.extract import (extract_partition, list_partition_specs,
                                   read_manifests, resolve_filesystem, run_key)
     from ..stages.schemas import MANIFEST_SCHEMA
 
@@ -74,16 +77,19 @@ def run_extraction(input_path: str, output_dir: str,
     rows = {p: {**m, "resumed": True} for p, m in done.items()}
     todo = [s for s in specs if s["partition_id"] not in done]
     if todo:
-        # ray.put the small side tables once so every task reads the same
-        # object-store copy, resolved once per worker process
-        extractor = ChangeExtractor(
-            config=cfg, property_labels=ray.put(labels), sa_types=ray.put(sa),
-            ao_types=ray.put(ao), output_dir=output_dir, run_key=key)
-        for m in ray.data.from_items(todo).map_batches(
-                extractor, batch_format="pyarrow", batch_size=1).take_all():
+        # ray.put the small side tables once; Ray resolves them in each task
+        aux = [ray.put(labels), ray.put(sa), ray.put(ao)]
+        task = ray.remote(num_cpus=1)(extract_partition)
+        refs = [task.remote(spec, cfg, *aux, output_dir, key) for spec in todo]
+        # wait for every task before ray.get raises on a failed one
+        ray.wait(refs, num_returns=len(refs))
+        for m in ray.get(refs):
             rows[m["partition_id"]] = m
-    return ray.data.from_arrow(pa.Table.from_pylist(
-        [rows[s["partition_id"]] for s in specs], schema=MANIFEST_SCHEMA))
+    # from_blocks wraps the table as the Dataset's one block; from_arrow
+    # would run a remote metadata task, the only Ray work of a resumed call
+    # (from_blocks is a DeveloperAPI)
+    return ray.data.from_blocks([pa.Table.from_pylist(
+        [rows[s["partition_id"]] for s in specs], schema=MANIFEST_SCHEMA)])
 
 
 def read_table(output_dir: str, table: str):

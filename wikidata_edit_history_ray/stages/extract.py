@@ -3,15 +3,15 @@ change tables plus errors on storage out.
 
 - `list_partition_specs`: the (file, row-group range) work units and their
   partition ids;
-- `ChangeExtractor`: the task `pipelines.kg.run_extraction` maps over the
-  specs that still need work; its `extract_batch` diffs a documents table
-  and needs no Ray session;
+- `extract_partition`: the Ray task `pipelines.kg.run_extraction` submits
+  once per spec that still needs work;
+- `ChangeExtractor`: its `extract_batch` diffs a documents table and needs
+  no Ray session;
 - `read_manifests` / `run_key`: what the driver decides resume from.
 
 All diff state is per-document, so extraction is embarrassingly parallel and
 needs no shuffle; doc-level skew (hot entities with tens of thousands of
-revisions) surfaces as long tasks, absorbed by task waves over many input
-blocks.
+revisions) surfaces as long tasks.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ import pyarrow as pa
 
 from ..core.constants import TABLE_COLS
 from ..core.differ import DiffConfig, PageDiffer
-from .schemas import (ERRORS_SCHEMA, MANIFEST_SCHEMA, ROUTING_COLS,
-                      TABLE_SCHEMAS)
+from .schemas import ERRORS_SCHEMA, ROUTING_COLS, TABLE_SCHEMAS
 
 _ROUTING_NAMES = [name for name, _ in ROUTING_COLS]
 _COMPRESSION = "zstd"
@@ -50,28 +49,6 @@ def _fs_exists(fs, path: str) -> bool:
     from pyarrow import fs as pafs
 
     return fs.get_file_info(path).type != pafs.FileType.NotFound
-
-
-_BROADCAST_CACHE: dict = {}
-
-
-def _maybe_get(obj):
-    """Dereference a ray.put broadcast handle if one was passed; cached per
-    worker process so task-based stages deserialize each broadcast object once
-    per worker, not once per task."""
-    try:
-        import ray
-
-        if isinstance(obj, ray.ObjectRef):
-            key = obj.hex()
-            if key not in _BROADCAST_CACHE:
-                if len(_BROADCAST_CACHE) > 64:
-                    _BROADCAST_CACHE.clear()
-                _BROADCAST_CACHE[key] = ray.get(obj)
-            return _BROADCAST_CACHE[key]
-    except ImportError:
-        pass
-    return obj
 
 
 def rows_to_table(table_name: str, rows: list, routing: list | None) -> pa.Table:
@@ -114,65 +91,24 @@ def rows_to_table(table_name: str, rows: list, routing: list | None) -> pa.Table
 
 
 class ChangeExtractor:
-    """The extraction task: partition specs in, change tables on storage out.
-
-    `run_extraction` maps an instance over the partition specs that still
-    need work (``map_batches(..., batch_size=1)``): it pickles into each
-    task, and its per-worker setup (differ construction, ``ray.get`` of the
-    broadcast aux tables, the output filesystem) runs lazily, once per worker
-    process, mirroring the reference's per-process CSV dict loading
-    (scripts/file_parser.py:84-88) without re-shipping state per batch.
-
-    The work unit is a DETERMINISTIC input partition — consecutive row groups
-    of one file — not a Ray batch: Ray's block/batch boundaries vary run to
-    run, so a batch-keyed sink would duplicate output rows on a re-run. Each
-    task reads its spec's row groups one at a time (one input row group in
-    memory, however large the partition) and diffs each into Arrow tables.
-    It then writes every non-empty table once, to
-    `<output_dir>/<table>/<partition_id>.parquet`, and removes that file of
-    every empty table, which an earlier attempt at the partition may have
-    left. Last it commits `<output_dir>/_manifest/<partition_id>.json` and
-    returns that manifest as one row, so the big outputs never transit the
-    object store.
-
-    `output_dir` (and spec input files) may be a local path OR any
-    pyarrow-filesystem URI (`file://`, `s3://`, ...): on a multi-node
-    cluster the sink writes to shared/object storage, not per-node disks.
-    The commit point stays the manifest file: write-tmp-then-rename on
-    filesystems with atomic rename (local), a single atomic PUT on object
-    stores.
+    """Diffs documents tables into the change tables, with no Ray session.
 
     Parameters
     - config: DiffConfig kwargs dict
-    - property_labels / sa_types / ao_types: plain objects or ray.put refs
-    - output_dir: where the tables and manifests go (unused by extract_batch)
-    - run_key: recorded in each manifest (see `run_key`)
+    - property_labels / sa_types / ao_types: the aux tables
     """
 
     def __init__(self, config: dict | None = None, property_labels=None,
-                 sa_types=None, ao_types=None, output_dir: str = "",
-                 run_key: str = ""):
-        self._config = config or {}
-        self._property_labels = property_labels
-        self._sa_types = sa_types
-        self._ao_types = ao_types
-        self.differ = None
-        self.output_dir = output_dir
-        self.run_key = run_key
-        self._fs = None
-
-    def _ensure_differ(self):
-        if self.differ is None:
-            self.differ = PageDiffer(
-                DiffConfig.from_dict(self._config),
-                property_labels=_maybe_get(self._property_labels) or {},
-                scholarly_article_types=set(_maybe_get(self._sa_types) or ()),
-                astronomical_object_types=set(_maybe_get(self._ao_types) or ()),
-            )
+                 sa_types=None, ao_types=None):
+        self.differ = PageDiffer(
+            DiffConfig.from_dict(config or {}),
+            property_labels=property_labels or {},
+            scholarly_article_types=set(sa_types or ()),
+            astronomical_object_types=set(ao_types or ()),
+        )
 
     def extract_batch(self, batch: pa.Table, file_path: str = ""):
         """Diff every doc in the batch; returns ({table: pa.Table}, errors)."""
-        self._ensure_differ()
         doc_ids = batch.column("doc_id").to_pylist()
         spans_col = batch.column("spans").to_pylist()
         buf = {t: [] for t in TABLE_COLS}
@@ -217,86 +153,103 @@ class ChangeExtractor:
         }
         return tables, errors
 
-    def _out_fs(self):
-        if self._fs is None:
-            self._fs = resolve_filesystem(self.output_dir)
-        return self._fs
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist(
-            [self._extract_partition(spec) for spec in batch.to_pylist()],
-            schema=MANIFEST_SCHEMA)
+def extract_partition(spec: dict, config: dict, property_labels: dict,
+                      sa_types: list, ao_types: list, output_dir: str,
+                      key: str) -> dict:
+    """The extraction task: one partition spec in, its change tables on
+    storage out; returns the partition's manifest, with `key` as its
+    `run_key`.
 
-    def _extract_partition(self, spec: dict) -> dict:
-        import os
+    The work unit is a DETERMINISTIC input partition — consecutive row groups
+    of one file — not a Ray batch: Ray's block/batch boundaries vary run to
+    run, so a batch-keyed sink would duplicate output rows on a re-run. The
+    task reads its spec's row groups one at a time (one input row group in
+    memory, however large the partition) and diffs each into Arrow tables.
+    It then writes every non-empty table once, to
+    `<output_dir>/<table>/<partition_id>.parquet`, and removes that file of
+    every empty table, which an earlier attempt at the partition may have
+    left. Last it commits `<output_dir>/_manifest/<partition_id>.json` and
+    returns that manifest, so the big outputs never transit the object
+    store.
 
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-        from pyarrow import fs as pafs
+    `output_dir` (and spec input files) may be a local path OR any
+    pyarrow-filesystem URI (`file://`, `s3://`, ...): on a multi-node
+    cluster the sink writes to shared/object storage, not per-node disks.
+    The commit point stays the manifest file: write-tmp-then-rename on
+    filesystems with atomic rename (local), a single atomic PUT on object
+    stores.
+    """
+    import os
 
-        fs, out_root = self._out_fs()
-        part_id, rg = spec["partition_id"], spec["row_group"]
-        in_fs, in_path = resolve_filesystem(spec["file"])
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    from pyarrow import fs as pafs
 
-        # one input row group in memory at a time, whatever the partition size
-        t0 = time.time()
-        parts = {t: [] for t in TABLE_COLS}
-        errors = []
-        num_docs = num_spans = 0
-        with pq.ParquetFile(in_path, filesystem=in_fs) as pf:
-            for i in range(rg, rg + spec["num_row_groups"]):
-                docs = pf.read_row_group(i)
-                num_docs += docs.num_rows
-                num_spans += int(pc.sum(pc.list_value_length(
-                    docs.column("spans"))).as_py() or 0)
-                tables, errs = self.extract_batch(docs, file_path=part_id)
-                for name, table in tables.items():
-                    parts[name].append(table)
-                errors.extend(errs)
-        tables = {name: pa.concat_tables(ts) for name, ts in parts.items()}
-        tables["errors"] = rows_to_table_errors(errors)
-        extract_seconds = time.time() - t0
+    extractor = ChangeExtractor(config, property_labels, sa_types, ao_types)
+    fs, out_root = resolve_filesystem(output_dir)
+    part_id, rg = spec["partition_id"], spec["row_group"]
+    in_fs, in_path = resolve_filesystem(spec["file"])
 
-        t0 = time.time()
-        rows_per_table = {}
-        for name, table in tables.items():
-            rows_per_table[name] = table.num_rows
-            path = f"{out_root}/{name}/{part_id}.parquet"
-            if table.num_rows:
-                fs.create_dir(f"{out_root}/{name}", recursive=True)
-                pq.write_table(table, path, filesystem=fs,
-                               compression=_COMPRESSION)
-            elif _fs_exists(fs, path):
-                # an earlier attempt at this partition wrote rows here
-                fs.delete_file(path)
-        write_seconds = time.time() - t0
+    # one input row group in memory at a time, whatever the partition size
+    t0 = time.time()
+    parts = {t: [] for t in TABLE_COLS}
+    errors = []
+    num_docs = num_spans = 0
+    with pq.ParquetFile(in_path, filesystem=in_fs) as pf:
+        for i in range(rg, rg + spec["num_row_groups"]):
+            docs = pf.read_row_group(i)
+            num_docs += docs.num_rows
+            num_spans += int(pc.sum(pc.list_value_length(
+                docs.column("spans"))).as_py() or 0)
+            tables, errs = extractor.extract_batch(docs, file_path=part_id)
+            for name, table in tables.items():
+                parts[name].append(table)
+            errors.extend(errs)
+    tables = {name: pa.concat_tables(ts) for name, ts in parts.items()}
+    tables["errors"] = rows_to_table_errors(errors)
+    extract_seconds = time.time() - t0
 
-        m = {
-            "partition_id": part_id,
-            "input_fingerprint": part_id.removeprefix("part-"),
-            "num_docs": num_docs,
-            "num_spans": num_spans,
-            "rows_per_table": json.dumps(rows_per_table),
-            "extract_seconds": extract_seconds,
-            "write_seconds": write_seconds,
-            "resumed": False,
-            "run_key": self.run_key,
-        }
-        manifest_dir = f"{out_root}/{MANIFEST_DIR}"
-        manifest_path = f"{manifest_dir}/{part_id}.json"
-        fs.create_dir(manifest_dir, recursive=True)
-        payload = json.dumps(m).encode()
-        if isinstance(fs, pafs.LocalFileSystem):
-            tmp = manifest_path + f".tmp{os.getpid()}"
-            with fs.open_output_stream(tmp) as f:
-                f.write(payload)
-            fs.move(tmp, manifest_path)  # atomic: manifest is the commit point
-        else:
-            # object stores: a single PUT is already atomic (no partial
-            # objects are ever visible), so write the commit marker directly
-            with fs.open_output_stream(manifest_path) as f:
-                f.write(payload)
-        return m
+    t0 = time.time()
+    rows_per_table = {}
+    for name, table in tables.items():
+        rows_per_table[name] = table.num_rows
+        path = f"{out_root}/{name}/{part_id}.parquet"
+        if table.num_rows:
+            fs.create_dir(f"{out_root}/{name}", recursive=True)
+            pq.write_table(table, path, filesystem=fs,
+                           compression=_COMPRESSION)
+        elif _fs_exists(fs, path):
+            # an earlier attempt at this partition wrote rows here
+            fs.delete_file(path)
+    write_seconds = time.time() - t0
+
+    m = {
+        "partition_id": part_id,
+        "input_fingerprint": part_id.removeprefix("part-"),
+        "num_docs": num_docs,
+        "num_spans": num_spans,
+        "rows_per_table": json.dumps(rows_per_table),
+        "extract_seconds": extract_seconds,
+        "write_seconds": write_seconds,
+        "resumed": False,
+        "run_key": key,
+    }
+    manifest_dir = f"{out_root}/{MANIFEST_DIR}"
+    manifest_path = f"{manifest_dir}/{part_id}.json"
+    fs.create_dir(manifest_dir, recursive=True)
+    payload = json.dumps(m).encode()
+    if isinstance(fs, pafs.LocalFileSystem):
+        tmp = manifest_path + f".tmp{os.getpid()}"
+        with fs.open_output_stream(tmp) as f:
+            f.write(payload)
+        fs.move(tmp, manifest_path)  # atomic: manifest is the commit point
+    else:
+        # object stores: a single PUT is already atomic (no partial
+        # objects are ever visible), so write the commit marker directly
+        with fs.open_output_stream(manifest_path) as f:
+            f.write(payload)
+    return m
 
 
 def read_manifests(output_dir: str) -> dict:

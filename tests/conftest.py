@@ -62,3 +62,21 @@ def ray_data_log(ray_session):
         logger.removeHandler(handler)
         logger.setLevel(level)
         ctx.print_on_execution_start = announce
+
+
+@pytest.fixture
+def reduce_buckets(ray_session, monkeypatch):
+    """Sets the bucket count of `materialize_graph` and `dedup_changes`: a
+    call makes one bucket per `TARGET_PARTITION_BYTES` of its partials'
+    bytes, so `reduce_buckets(n)` has every materialized Dataset report
+    `n` byte targets. One byte target cannot set the count by itself: the
+    graph replay's partials and the dedup's differ in bytes for one input,
+    and an empty input has none."""
+    from ray.data.dataset import MaterializedDataset
+
+    from wikidata_edit_history_ray.stages import extract
+
+    def set_buckets(n: int):
+        monkeypatch.setattr(MaterializedDataset, "size_bytes",
+                            lambda self: n * extract.TARGET_PARTITION_BYTES)
+    return set_buckets

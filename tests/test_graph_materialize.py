@@ -124,12 +124,10 @@ def test_default_reduce_buckets_is_one_per_cpu(ray_session):
 
 
 @pytest.fixture(params=[1, 4], ids=["coalesce", "sort"])
-def buckets(request, ray_session, monkeypatch):
-    """The reducers' bucket count: 1 coalesces the partials, 4 sorts them on
-    the salt."""
-    from wikidata_edit_history_ray.pipelines import kg
-
-    monkeypatch.setattr(kg, "default_reduce_buckets", lambda: request.param)
+def buckets(request, reduce_buckets):
+    """The reducers' bucket count: 1 coalesces every partial into one reduce
+    task, 4 sorts each partial on the salt and cuts it into the buckets."""
+    reduce_buckets(request.param)
     return request.param
 
 
@@ -144,7 +142,7 @@ def _blocks(ds):
 
 def test_every_output_block_carries_the_output_schema(value_change, buckets):
     """Every block the graph replay and the dedup return carries the output
-    schema, so the blocks concatenate; the coalesce returns one block."""
+    schema, so the blocks concatenate; there is one block per bucket."""
     import pyarrow as pa
 
     from wikidata_edit_history_ray.pipelines.kg import (GRAPH_SCHEMA,
@@ -157,7 +155,7 @@ def test_every_output_block_carries_the_output_schema(value_change, buckets):
         blocks = _blocks(ds)
         assert [b.schema for b in blocks] == [schema] * len(blocks)
         assert pa.concat_tables(blocks).num_rows > 0
-        assert len(blocks) == (1 if buckets == 1 else buckets)
+        assert len(blocks) == buckets
 
 
 def test_empty_history_gives_typed_empty_result(buckets):
@@ -181,21 +179,77 @@ def test_empty_history_gives_typed_empty_result(buckets):
         assert [b.schema for b in _blocks(ds)] == [schema] * ds.num_blocks()
 
 
-def test_one_bucket_coalesces_without_a_sort(value_change, monkeypatch):
-    """At one bucket the graph replay and the dedup run no Sort operator and
-    return one block; above it they sort on the salt."""
+def test_each_call_is_one_execution_and_one_task_per_bucket(
+        value_change, ray_data_log, reduce_buckets, monkeypatch):
+    """A call starts one Ray Data execution, the block-local map, and
+    submits one reduce task per bucket; above one bucket, first one split
+    task per partial. Tasks are counted on the driver, at the `.remote` of
+    every `ray.remote(...)(fn)` of the reducers' two functions."""
+    import ray
+
     from wikidata_edit_history_ray.pipelines import kg
 
-    def run():
-        return [kg.materialize_graph(value_change).materialize(),
-                kg.dedup_changes(value_change, _DEDUP_PK).materialize()]
+    tasks = []  # (function name, object refs passed), in submission order
+    make_remote = ray.remote
 
-    for ds in run():
-        assert "Sort" in ds.stats()
-    monkeypatch.setattr(kg, "default_reduce_buckets", lambda: 1)
-    for ds in run():
-        assert "Sort" not in ds.stats()
-        assert ds.num_blocks() == 1
+    def remote(*args, **kwargs):
+        decorate = make_remote(*args, **kwargs)
+
+        def counted(fn):
+            task = decorate(fn)
+            if fn in (kg._split_by_salt, kg._reduce_bucket):
+                submit = task.remote
+
+                def count(*fn_args):
+                    tasks.append((fn.__name__, sum(
+                        isinstance(a, ray.ObjectRef) for a in fn_args)))
+                    return submit(*fn_args)
+                task.remote = count
+            return task
+        return counted
+
+    monkeypatch.setattr(ray, "remote", remote)
+
+    def run(n):
+        reduce_buckets(n)
+        submitted = []
+        for call in (lambda: kg.materialize_graph(value_change),
+                     lambda: kg.dedup_changes(value_change, _DEDUP_PK)):
+            del ray_data_log[:], tasks[:]
+            call()
+            assert sum(r.getMessage().startswith(
+                "Starting execution of Dataset") for r in ray_data_log) == 1
+            submitted.append(list(tasks))
+        return submitted
+
+    for one, four in zip(run(1), run(4)):
+        # one bucket: one task over every partial
+        [(name, partials)] = one
+        assert name == "_reduce_bucket" and partials >= 1
+        # four: a split per partial, then four tasks over one cut of each
+        assert four == [("_split_by_salt", 1)] * partials + \
+            [("_reduce_bucket", partials)] * 4
+
+
+def test_bucket_count_ignores_the_cluster_size(value_change, monkeypatch):
+    """The graph replay and the dedup return the same blocks, row for row,
+    on a cluster that reports 1 CPU and on one that reports 16: the bucket
+    count comes from the data."""
+    import ray
+
+    from wikidata_edit_history_ray.pipelines.kg import (dedup_changes,
+                                                        materialize_graph)
+
+    resources = ray.cluster_resources()
+
+    def run(cpus):
+        monkeypatch.setattr(ray, "cluster_resources",
+                            lambda: {**resources, "CPU": float(cpus)})
+        return [[b.to_pylist() for b in _blocks(ds)]
+                for ds in (materialize_graph(value_change),
+                           dedup_changes(value_change, _DEDUP_PK))]
+
+    assert run(1) == run(16)
 
 
 def test_dedup_keeps_the_least_row_of_each_key(buckets):

@@ -30,11 +30,10 @@ def hot_corpus(ray_session):
 
 
 class TestSaltedDedup:
-    def test_salted_equals_unsalted(self, ray_session, hot_corpus, tmp_path,
-                                    monkeypatch):
-        """The salted sort (one bucket per CPU of the 4-CPU session) and the
-        unsalted coalesce (one bucket) keep the same keys, each key once, in
-        dedup_changes and materialize_graph."""
+    def test_salted_equals_unsalted(self, hot_corpus, tmp_path,
+                                    reduce_buckets):
+        """Four salted buckets and one unsalted bucket keep the same keys,
+        each key once, in dedup_changes and materialize_graph."""
         from wikidata_edit_history_ray.pipelines import kg
 
         pk = ["revision_id", "property_id", "value_id", "change_target"]
@@ -48,15 +47,14 @@ class TestSaltedDedup:
             assert len(set(got)) == len(got)
             return set(got)
 
-        def run():
+        def run(buckets):
+            reduce_buckets(buckets)
             return (keys(kg.dedup_changes(vc, pk), pk),
                     keys(kg.materialize_graph(vc), ["subj", "pred",
                                                     "value_id"]))
 
-        assert kg.default_reduce_buckets() == 4
-        salted = run()
-        monkeypatch.setattr(kg, "default_reduce_buckets", lambda: 1)
-        assert run() == salted
+        salted = run(4)
+        assert run(1) == salted
         assert salted[0] == {tuple(r[c] for c in pk) for r in
                              vc.select_columns(pk).take_all()}
 

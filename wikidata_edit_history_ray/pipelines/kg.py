@@ -1,4 +1,4 @@
-"""The KG change-history construction pipeline, Ray-Data-first.
+"""The KG change-history construction pipeline, on plain Ray tasks.
 
 - `run_extraction(input_path, output_dir, ...)` — the one extraction path:
   one Ray task per input partition diffs each document once and fans out ALL
@@ -7,8 +7,11 @@
   the same run key). This replaces the reference's db_writer process +
   processed-files claim protocol (scripts/db_writer.py, main.py:62-131).
 - `read_table(output_dir, table)` — a Dataset of one table it wrote.
-- `run_enrichment`, `materialize_graph`, `dedup_changes` — passes over those
-  tables.
+- `materialize_graph`, `dedup_changes` — keyed reductions of a change table:
+  one Ray Data map over its blocks, then one Ray task per bucket of the
+  partials, with the bucket count taken from the partials' bytes.
+- `run_enrichment` — the second pass over the feature tables, on Ray Data
+  actor pools.
 """
 from __future__ import annotations
 
@@ -17,8 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.differ import DiffConfig
-from ..stages.distributed import (adjacent_equal_mask, default_reduce_buckets,
-                                  salt_from_columns)
+from ..stages.distributed import adjacent_equal_mask, salt_from_columns
 from ..stages.schemas import TABLE_SCHEMAS
 
 
@@ -208,49 +210,61 @@ def _first_per_key(t: pa.Table, key_cols: list, order: list) -> pa.Table:
     return t
 
 
-def _tag(t: pa.Table, key_cols: list, buckets: int) -> pa.Table:
-    """A block-local partial, ready for `_reduce_by_key`: a null `_seed`
-    (a real row) and, above one bucket, the key's `_salt`."""
-    t = t.append_column("_seed", pa.nulls(t.num_rows, pa.bool_()))
-    if buckets > 1:
-        t = t.append_column("_salt", pa.array(
-            salt_from_columns(t, key_cols, buckets), type=pa.int64()))
-    return t
+def _split_by_salt(part: pa.Table, key_cols: list, buckets: int):
+    """`part`'s rows cut into `buckets` tables by the salt of `key_cols`,
+    each in `part`'s row order. An empty `part` may lack the key columns
+    (see `_reduce_bucket`): it is every bucket's empty cut."""
+    if not part.num_rows:
+        return (part,) * buckets
+    salt = salt_from_columns(part, key_cols, buckets)
+    part = part.take(pa.array(np.argsort(salt, kind="stable")))
+    ends = np.cumsum(np.bincount(salt, minlength=buckets))
+    return tuple(part.slice(start, end - start)
+                 for start, end in zip(np.append(0, ends[:-1]), ends))
 
 
-def _untag(block: pa.Table) -> pa.Table:
-    """The real rows of one bucket, without the `_tag` columns."""
-    block = block.filter(pc.is_null(block.column("_seed")))
-    return block.drop_columns(
-        [c for c in ("_seed", "_salt") if c in block.schema.names])
+def _reduce_bucket(schema: pa.Schema, reducer, *parts: pa.Table) -> pa.Table:
+    """`reducer` over one bucket: its non-empty partials, cut to `schema`'s
+    columns, concatenated. An empty partial may lack `schema`'s columns (Ray
+    Data skips a map on an empty block and passes the block on), and a
+    bucket with no rows at all reduces `schema`'s empty table, so its output
+    is typed."""
+    parts = [p.select(schema.names) for p in parts if p.num_rows]
+    return reducer(pa.concat_tables(parts) if parts else schema.empty_table())
 
 
-def _reduce_by_key(partial, schema: pa.Schema, reducer, buckets: int):
-    """Run `reducer` once per bucket of `_tag`ged partials of `schema`, over
-    a block holding every partial row of the bucket's keys.
+def _reduce_by_key(partial, schema: pa.Schema, key_cols: list, reducer):
+    """Run `reducer` once per bucket of the block-local partials `partial`
+    (a lazy Dataset of `schema`'s columns), over every partial row of the
+    bucket's keys, as plain Ray tasks; a Dataset of one block per bucket.
 
-    At one bucket the partials coalesce into one block: no shuffle. Above
-    it, a sort on `_salt` with one partition per salt value makes each block
-    one bucket (`groupby().map_groups` samples its sort boundaries instead,
-    so some of its partitions hold no salt at all). Ray Data skips a map UDF on a zero-row block and passes that
-    block on untyped or with its input's columns, so one seed row per bucket
-    (`_seed` true, null elsewhere) is added: every bucket is non-empty, the
-    reducer runs on each, and every output block, empty input included,
-    carries the reducer's schema."""
+    Materializing `partial` is the call's only Ray Data execution. The
+    bucket count B is one per `TARGET_PARTITION_BYTES` of partial bytes,
+    the unit of work of an extraction partition, so the output's blocks and
+    row order follow from the input, not from the cluster's CPUs. At one
+    bucket a single task reduces every partial. Above it, one task per
+    partial cuts it into B buckets by `salt_from_columns` (a key's rows share
+    a bucket, a hot entity's statements spread across them), and B tasks
+    reduce. The call waits for every reduce task, so it returns, or raises
+    on a failed task, with no task of its own still running."""
+    import ray
     import ray.data
 
-    seeds = pa.Table.from_arrays(
-        [pa.nulls(buckets, f.type) for f in schema]
-        + [pa.array([True] * buckets)], names=schema.names + ["_seed"])
-    if buckets > 1:
-        seeds = seeds.append_column(
-            "_salt", pa.array(range(buckets), type=pa.int64()))
-    ds = partial.union(ray.data.from_arrow(seeds))
+    from ..stages.extract import TARGET_PARTITION_BYTES
+
+    partial = partial.materialize()
+    refs = partial.to_arrow_refs()
+    buckets = max(1, -(-(partial.size_bytes() or 0) // TARGET_PARTITION_BYTES))
+    reduce = ray.remote(num_cpus=1)(_reduce_bucket)
     if buckets == 1:
-        ds = ds.repartition(1)
+        outs = [reduce.remote(schema, reducer, *refs)]
     else:
-        ds = ds.sort("_salt", boundaries=list(range(1, buckets)))
-    return ds.map_batches(reducer, batch_format="pyarrow", batch_size=None)
+        split = ray.remote(num_cpus=1, num_returns=buckets)(_split_by_salt)
+        cuts = [split.remote(ref, key_cols, buckets) for ref in refs]
+        outs = [reduce.remote(schema, reducer, *(c[b] for c in cuts))
+                for b in range(buckets)]
+    ray.wait(outs, num_returns=len(outs))
+    return ray.data.from_arrow_refs(outs)
 
 
 def materialize_graph(value_change_ds):
@@ -259,33 +273,32 @@ def materialize_graph(value_change_ds):
     replaying every change in revision order, typed by `GRAPH_SCHEMA`.
 
     Shape: block-local replay (keep the max-revision row per statement inside
-    each block) -> every partial of a statement into one reducer block ->
-    final per-key replay -> filter DELETEd statements. The reducer count is
-    `default_reduce_buckets()`, one per CPU. At one bucket the partials
-    coalesce into one block and the replay runs once, with no shuffle and no
-    salt. Above it, a sort on a salt (a hash of the full statement key,
-    value_id included, so hot entities spread across reducers) gives one
-    block per bucket. Either way one row per statement per block moves, not
-    the full history. Every output block carries `GRAPH_SCHEMA`, also for
-    an empty history.
-    """
-    buckets = default_reduce_buckets()
+    each block, one Ray Data map) -> every partial of a statement into one
+    bucket -> final per-key replay -> filter DELETEd statements. The buckets
+    are plain Ray tasks (`_reduce_by_key`): one bucket per 32 MiB of partial
+    bytes, bucketed by a salt over the full statement key, value_id
+    included, so hot entities spread across buckets. One row per statement
+    per block moves, not the full history. Every output block carries
+    `GRAPH_SCHEMA`, also for an empty history.
 
+    Runs eagerly: the call returns once every bucket is reduced, as a
+    materialized Dataset of one block per bucket.
+    """
     def local_last(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch.column("change_target"), "")).select(
             _REPLAY_SCHEMA.names)
-        return _tag(_last_per_key(t, _GRAPH_KEY), _GRAPH_KEY, buckets)
+        return _last_per_key(t, _GRAPH_KEY)
 
     def replay_bucket(block: pa.Table) -> pa.Table:
         # all of a statement's partials land in its bucket: replay per bucket
         # with one vectorized Arrow pass, not one task per statement
-        g = _last_per_key(_untag(block), _GRAPH_KEY)
+        g = _last_per_key(block, _GRAPH_KEY)
         g = g.filter(pc.fill_null(pc.not_equal(g.column("action"), "DELETE"),
                                   True))
         return g.rename_columns(GRAPH_SCHEMA.names)
 
     partial = value_change_ds.map_batches(local_last, batch_format="pyarrow")
-    return _reduce_by_key(partial, _REPLAY_SCHEMA, replay_bucket, buckets)
+    return _reduce_by_key(partial, _REPLAY_SCHEMA, _GRAPH_KEY, replay_bucket)
 
 
 def dedup_changes(ds, pk_cols):
@@ -298,27 +311,23 @@ def dedup_changes(ds, pk_cols):
     order). So it does not depend on partitioning, block boundaries or the
     bucket count; identical duplicates, as a re-run produces, are one row.
 
-    Shape: a block-local dedup first, so only each block's distinct keys
-    move, then one dedup per bucket of
-    `default_reduce_buckets()` (one per CPU). At one bucket the local
-    survivors coalesce into one block, with no shuffle and no salt. Above
-    it, the bucket is a salt = hash(full PK) % buckets: every duplicate of a
-    key shares it, while a hot entity's rows — same entity/doc prefix, other
-    PK components — spread across all reducers. Every output block carries
+    Shape: a block-local dedup first (one Ray Data map), so only each
+    block's distinct keys move, then one dedup per bucket as plain Ray
+    tasks (`_reduce_by_key`): one bucket per 32 MiB of local survivors,
+    bucketed by a salt = hash(full PK) % buckets. Every duplicate of a key
+    shares it, while a hot entity's rows — same entity/doc prefix, other PK
+    components — spread across the buckets. Every output block carries
     `ds`'s schema, also for an empty `ds`.
+
+    Runs eagerly: the call returns once every bucket is deduplicated, as a
+    materialized Dataset of one block per bucket.
     """
-    buckets = default_reduce_buckets()
     schema = ds.schema().base_schema
     order = pk_cols + [c for c in schema.names if c not in pk_cols]
 
-    def drop_local_dupes(batch: pa.Table) -> pa.Table:
-        return _tag(_first_per_key(batch, pk_cols, order), pk_cols, buckets)
+    def keep_least(t: pa.Table) -> pa.Table:
+        # per block, then per bucket: all duplicates of a key share its bucket
+        return _first_per_key(t, pk_cols, order)
 
-    def dedup_bucket(block: pa.Table) -> pa.Table:
-        # one vectorized keep-least per BUCKET (not per PK): all duplicates
-        # of a key share its bucket
-        return _first_per_key(_untag(block), pk_cols, order)
-
-    return _reduce_by_key(
-        ds.map_batches(drop_local_dupes, batch_format="pyarrow"), schema,
-        dedup_bucket, buckets)
+    return _reduce_by_key(ds.map_batches(keep_least, batch_format="pyarrow"),
+                          schema, pk_cols, keep_least)

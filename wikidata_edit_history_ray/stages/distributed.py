@@ -1,13 +1,16 @@
 """Shuffle and small-side exchange helpers.
 
-Shared by the keyed reducers of `pipelines/kg.py` (graph replay and dedup)
-and `pipelines/analysis.py`:
+Shared by the keyed reducers of `pipelines/kg.py` (graph replay and dedup):
 
-- `default_reduce_buckets`: the reducer count, one per CPU;
 - `salt_from_columns`: a process-stable hash bucket per composite key, so
   every duplicate of a key reaches the same reducer;
 - `adjacent_equal_mask`: the run-segmentation kernel the Arrow-format
   reducers use after sorting a bucket on its key.
+
+Used by `pipelines/analysis.py` and the corpus operators:
+
+- `default_reduce_buckets`: the reducer count of their Ray Data shuffles,
+  one per CPU.
 
 Used by the corpus dedup and text operators:
 
@@ -29,11 +32,12 @@ import pyarrow as pa
 
 
 def default_reduce_buckets() -> int:
-    """The reducer count of a keyed shuffle: one bucket per CPU of the Ray
-    cluster (of this host when no session is up), resolved on the driver at
-    pipeline build time. Each bucket is one reduce call, so buckets beyond
-    the CPUs only add tasks; at one CPU the graph replay and the dedup of
-    `pipelines/kg.py` coalesce their partials instead of sorting them."""
+    """The reducer count of a keyed Ray Data shuffle: one bucket per CPU of
+    the Ray cluster (of this host when no session is up), resolved on the
+    driver at pipeline build time. Each bucket is one reduce call, so
+    buckets beyond the CPUs only add tasks. The graph replay and the dedup
+    of `pipelines/kg.py` do not use it: they take their bucket count from
+    their partials' bytes."""
     import ray
 
     if ray.is_initialized():

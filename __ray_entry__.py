@@ -568,20 +568,6 @@ def _q_pack_sequences(sf_dir: str):
     return pack_sequences(toks, token_col="ws_token_count", max_tokens=512)
 
 
-def _q_stratified_sample(sf_dir: str):
-    """Deterministic stratified sampler: 20 lowest-md5(doc_id) docs per
-    language (reproducible data mixing; partial top-k combine, tiny final
-    merge)."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.sampling import stratified_sample
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang", "source", "n_chars"])
-    return stratified_sample(ds, "lang", 20) \
-        .select_columns(["doc_id", "lang", "source", "n_chars"])
-
-
 def _q_ivf_topk(sf_dir: str):
     """Full-probe IVF (nprobe == n_centroids) must equal the exact result —
     that is the oracle configuration; partial-probe recall is pytest-covered
@@ -830,18 +816,6 @@ def _q_decontaminate(sf_dir: str):
     return decontaminate_flags(ds, bench)
 
 
-def _q_length_quantiles(sf_dir: str):
-    """Exact distributed quantiles of n_chars via the distinct-value
-    histogram reduction (no global sort, no sketch error)."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.profile import column_quantiles
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["n_chars"])
-    return column_quantiles(ds, "n_chars")
-
-
 def _q_pii_redact(sf_dir: str):
     """PII redaction inside Arrow RE2 kernels: emails then long digit runs,
     with per-doc match counts. Every third doc gets a deterministic
@@ -915,30 +889,6 @@ def _q_kg_interleaved_pack(sf_dir: str):
                                  media_token_cost=64)
 
 
-def _q_length_quantiles_by_lang(sf_dir: str):
-    """Exact per-language n_chars quantiles via the grouped value-histogram
-    reduction (stages/profile.grouped_quantiles)."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.profile import grouped_quantiles
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "n_chars"])
-    return grouped_quantiles(ds, "n_chars", "lang")
-
-
-def _q_hash_split(sf_dir: str):
-    """Deterministic train/val/test split: md5(doc_id)-derived bucket mapped
-    through 90/95/100 bands — zero shuffle, identical on any cluster."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.sampling import hash_split
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    return hash_split(ds)
-
-
 def _q_unigram_logprob(sf_dir: str):
     """KenLM-style quality signal: per-doc mean ln-likelihood under the
     corpus's own unigram model (stages/text_ops.unigram_logprob) — count
@@ -982,44 +932,6 @@ def _q_chunk_dedup(sf_dir: str):
     return chunk_dedup(ds, chunk_words=3, min_docs=2)
 
 
-def _q_weighted_sample(sf_dir: str):
-    """Deterministic Efraimidis-Spirakis weighted sample, 25 docs per
-    language weighted by text length (stages/sampling.weighted_sample):
-    key = u^(1/w) with u from md5(doc_id) — block-local top-k partials,
-    one stratum groupby, tiny final merge."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.sampling import weighted_sample
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text", "lang", "source"])
-
-    def add_w(b):
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-        return b.append_column(
-            "weight", _pc.cast(_pc.add(_pc.utf8_length(
-                _pc.fill_null(b.column("text"), "")), 1), _pa.float64()))
-
-    ds = ds.map_batches(add_w, batch_format="pyarrow").drop_columns(["text"])
-    return weighted_sample(ds, "weight", 25, stratum_col="lang") \
-        .select_columns(["doc_id", "lang", "source"])
-
-
-def _q_corpus_mix(sf_dir: str):
-    """Deterministic training-mix construction: 200-doc corpus at
-    en/de/fr = 0.5/0.3/0.2 via per-group md5-rank quotas
-    (stages/sampling.corpus_mix) — block-local top-quota partials, one
-    group shuffle of slim survivors."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang", "source"])
-    return corpus_mix(ds, "lang", {"en": 0.5, "de": 0.3, "fr": 0.2}, 200)
-
-
 def _q_semdedup(sf_dir: str):
     """SemDeDup (Abbas et al. 2023): k-means-bounded semantic dedup — a
     vector is duplicate iff a lower-id same-cluster vector has cosine
@@ -1051,66 +963,6 @@ def _q_dsir_logratio(sf_dir: str):
                                 columns=["doc_id", "text", "lang"]) \
         .filter(expr="lang == 'de'").drop_columns(["lang"])
     return _round_cols(dsir_logratio(ds, tgt), ["dsir_logratio"], digits=6)
-
-
-def _q_epoch_shuffle(sf_dir: str):
-    """Deterministic global training order: epoch_pos = rank of
-    md5(seed:id) with id tie-break (stages/sampling.epoch_shuffle) —
-    range-partitioned prefix count, slim (h, id) rows only."""
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.sampling import epoch_shuffle
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    return epoch_shuffle(ds, seed=0)
-
-
-def _q_epoch_pack(sf_dir: str):
-    """Composed pretraining layout job: seeded epoch-shuffle order ->
-    whitespace token counts -> fixed-budget sequence packing over the
-    SHUFFLED order (epoch_shuffle + pack_sequences chained; the pack's
-    order key is the epoch position, so every epoch re-packs differently
-    but deterministically). Slim rows only: (id, epoch_pos, tokens)."""
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-    import ray.data
-
-    from wikidata_edit_history_ray.stages.packing import pack_sequences
-    from wikidata_edit_history_ray.stages.sampling import epoch_shuffle
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-
-    def tokens(b):
-        ws = _pc.cast(_pc.count_substring_regex(
-            _pc.fill_null(b.column("text"), ""), pattern=r"\S+"),
-            _pa.int64())
-        return _pa.table({"doc_id": b.column("doc_id"), "ws_tokens": ws})
-
-    tok = docs.map_batches(tokens, batch_format="pyarrow")
-    pos = epoch_shuffle(docs.select_columns(["doc_id"]), seed=0)
-    # broadcast the slim (id, pos) permutation into the token stream — at
-    # corpus scale this is the id->pos dimension, a bucketed join beyond
-    # broadcast size; here the permutation is k*16 bytes/row
-    from wikidata_edit_history_ray.stages.distributed import (
-        _get_broadcast_dict, broadcast_dataset)
-
-    pos_refs = broadcast_dataset(pos)
-
-    def attach(b):
-        import numpy as _np
-
-        pmap = _get_broadcast_dict(pos_refs, "doc_id", "epoch_pos")
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        ep = _np.fromiter((pmap[int(v)] for v in ids), dtype=_np.int64,
-                          count=len(ids))
-        return b.append_column("epoch_pos", _pa.array(ep, type=_pa.int64()))
-
-    ordered = tok.map_batches(attach, batch_format="pyarrow")
-    return pack_sequences(ordered.select_columns(["epoch_pos", "ws_tokens"]),
-                          token_col="ws_tokens", max_tokens=2048,
-                          order_col="epoch_pos")
 
 
 def _q_corpus_diff(sf_dir: str):
@@ -1246,7 +1098,7 @@ def _q_pack_texts(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per pipeline surface or operator (66: 22 `kg_*` and 44
+    """One entry per pipeline surface or operator (58: 22 `kg_*` and 36
     corpus/analytics operators). Every key has a matching oracle_sql() entry,
     and the contract test in tests/ compares every pair at sf0.001."""
     return {
@@ -1293,31 +1145,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_dedup": _q_embedding_dedup,
         "text_analysis": _q_text_analysis,
         "pack_sequences": _q_pack_sequences,
-        "stratified_sample": _q_stratified_sample,
         "ivf_topk": _q_ivf_topk,
-        # --- canonicalization / corpus-profile operators (round 3) ---
+        # --- canonicalization / text operators (round 3) ---
         "dup_clusters": _q_dup_clusters,
         "minhash_cluster_docs": _q_minhash_cluster,
         "vocab_topk": _q_vocab_topk,
         "decontaminate": _q_decontaminate,
-        "length_quantiles": _q_length_quantiles,
         "pii_redact": _q_pii_redact,
         "tfidf_top_terms": _q_tfidf_top_terms,
         "doc_repetition": _q_doc_repetition,
-        "hash_split": _q_hash_split,
-        "length_quantiles_by_lang": _q_length_quantiles_by_lang,
         "kg_interleaved_pack": _q_kg_interleaved_pack,
-        # --- flagship composition (round 4) ---
         # --- round-4 additions ---
         "unigram_logprob": _q_unigram_logprob,
         "kmeans_assign": _q_kmeans_assign,
         "chunk_dedup": _q_chunk_dedup,
-        "weighted_sample": _q_weighted_sample,
-        "corpus_mix": _q_corpus_mix,
         "semdedup": _q_semdedup,
         "dsir_logratio": _q_dsir_logratio,
-        "epoch_shuffle": _q_epoch_shuffle,
-        "epoch_pack": _q_epoch_pack,
         "corpus_diff": _q_corpus_diff,
         "apply_corpus_delta": _q_apply_corpus_delta,
         "blocklist_flags": _q_blocklist_flags,
@@ -1552,14 +1395,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
                    quality_score, fingerprint
             FROM read_parquet('{_text_expect_path(sf_dir)}')
         """,
-        "stratified_sample": """
-            SELECT doc_id, lang, source, n_chars FROM (
-              SELECT doc_id, lang, source, n_chars,
-                     ROW_NUMBER() OVER (
-                       PARTITION BY lang
-                       ORDER BY md5(CAST(doc_id AS VARCHAR))) AS rn
-              FROM documents) WHERE rn <= 20
-        """,
         "pack_sequences": """
             WITH t AS (
               SELECT doc_id,
@@ -1677,24 +1512,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
                      AS contaminated
             FROM documents d LEFT JOIN hits h USING (doc_id)
         """,
-        # every arithmetic term cast to DOUBLE so ceil(q*N) hits the same
-        # IEEE-754 bits as the engine's math.ceil (DuckDB's default DECIMAL
-        # literal would round 0.9*N differently)
-        "length_quantiles": """
-            WITH hist AS (
-              SELECT n_chars AS v, COUNT(*)::BIGINT AS cnt
-              FROM documents GROUP BY v
-            ),
-            c AS (
-              SELECT v, SUM(cnt) OVER (ORDER BY v)::DOUBLE AS cum,
-                     (SELECT SUM(cnt) FROM hist)::DOUBLE AS total
-              FROM hist
-            ),
-            qs AS (SELECT unnest([0.25, 0.5, 0.75, 0.9, 0.99]) AS q)
-            SELECT q::DOUBLE AS q, MIN(v)::BIGINT AS value
-            FROM qs JOIN c ON c.cum >= ceil(q::DOUBLE * c.total)
-            GROUP BY q
-        """,
         # same RE2 pattern strings as stages/text_ops.redact_pii; DuckDB and
         # Arrow both run RE2, so counts and replacements agree byte-for-byte
         "pii_redact": """
@@ -1777,44 +1594,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
                          ELSE 0.0 END)::DOUBLE AS rep_ratio
             FROM documents d LEFT JOIN agg a USING (doc_id)
         """,
-        "length_quantiles_by_lang": """
-            WITH hist AS (
-              SELECT lang AS g, n_chars AS v, COUNT(*)::BIGINT AS cnt
-              FROM documents GROUP BY g, v
-            ),
-            c AS (
-              SELECT g, v,
-                     SUM(cnt) OVER (PARTITION BY g ORDER BY v)::DOUBLE
-                       AS cum,
-                     SUM(cnt) OVER (PARTITION BY g)::DOUBLE AS total
-              FROM hist
-            ),
-            qs AS (SELECT unnest([0.25, 0.5, 0.9]) AS q)
-            SELECT g AS lang, q::DOUBLE AS q, MIN(v)::BIGINT AS value
-            FROM qs JOIN c ON c.cum >= ceil(q::DOUBLE * c.total)
-            GROUP BY g, q
-        """,
-        "hash_split": """
-            SELECT doc_id,
-                   CASE WHEN b < 90 THEN 'train'
-                        WHEN b < 95 THEN 'val'
-                        ELSE 'test' END AS split
-            FROM (SELECT doc_id,
-                         CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)),
-                                              1, 8)) AS BIGINT) % 100 AS b
-                  FROM documents)
-        """,
-        # the flagship chain restated stage by stage: exact dedup
-        # (ROW_NUMBER over text), near-dup canonicalization via EXACT
-        # all-pairs >=0.8 Jaccard (gram self-join; the engine's
-        # LSH-verified edge set equals it — miss probability (1-J^2)^32,
-        # ~1e-42 at the corpus's natural J>=0.97 pairs) + recursive
-        # min-label reachability keeping min-id representatives, gram
-        # decontamination against the doc_id%29=1 slice, ws>=20 &
-        # bigram-rep<=0.1 quality gate, md5 train band, running-sum pack
-        # window. Token regexes differ BY DESIGN: minhash shingles use \w+
-        # ([a-z0-9_]+ on this ASCII corpus), decontamination/repetition use
-        # [a-z0-9]+, exactly as the component operators define them.
         # direct window over the corpus parquet itself (non-circular): the
         # engine's distributed prefix sum must equal the global running-sum
         # window over the (qnum, span_index) order
@@ -1906,33 +1685,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
                    CAST(count(*) AS BIGINT) AS total_chunks
             FROM marked GROUP BY doc_id
         """,
-        "weighted_sample": """
-            SELECT doc_id, lang, source FROM (
-              SELECT doc_id, lang, source,
-                     ROW_NUMBER() OVER (
-                       PARTITION BY lang
-                       ORDER BY pow(u, 1.0 / w) DESC, doc_id) AS rn
-              FROM (SELECT doc_id, lang, source,
-                           (CAST(('0x' || substr(
-                                md5(CAST(doc_id AS VARCHAR)), 1, 15))
-                              AS BIGINT) + 0.5)
-                             / 1152921504606846976.0 AS u,
-                           CAST(length(coalesce(text, '')) + 1 AS DOUBLE)
-                               AS w
-                    FROM documents))
-            WHERE rn <= 25
-        """,
-        "corpus_mix": """
-            SELECT doc_id, lang, source FROM (
-              SELECT doc_id, lang, source,
-                     ROW_NUMBER() OVER (
-                       PARTITION BY lang
-                       ORDER BY md5(CAST(doc_id AS VARCHAR))) AS rn
-              FROM documents WHERE lang IN ('en', 'de', 'fr'))
-            WHERE rn <= CASE lang WHEN 'en' THEN 100
-                                  WHEN 'de' THEN 60
-                                  ELSE 40 END
-        """,
         "semdedup": """
             WITH c AS (
               SELECT embedding AS cvec,
@@ -1999,44 +1751,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
                        AS dsir_logratio
             FROM toks t JOIN cc ccx USING (tok) LEFT JOIN tcn x USING (tok)
             GROUP BY t.doc_id
-        """,
-        "epoch_shuffle": """
-            SELECT doc_id,
-                   CAST(ROW_NUMBER() OVER (ORDER BY h, doc_id) - 1
-                        AS BIGINT) AS epoch_pos
-            FROM (SELECT doc_id,
-                         CAST(('0x' || substr(
-                              md5('0:' || CAST(doc_id AS VARCHAR)), 1, 15))
-                            AS BIGINT) AS h
-                  FROM documents)
-        """,
-        "epoch_pack": """
-            WITH pos AS (
-              SELECT doc_id,
-                     CAST(ROW_NUMBER() OVER (ORDER BY h, doc_id) - 1
-                          AS BIGINT) AS epoch_pos
-              FROM (SELECT doc_id, text,
-                           CAST(('0x' || substr(
-                                md5('0:' || CAST(doc_id AS VARCHAR)), 1, 15))
-                              AS BIGINT) AS h
-                    FROM documents)
-            ),
-            tok AS (
-              SELECT doc_id,
-                     CAST(len(regexp_extract_all(coalesce(text, ''),
-                                                 '\\S+')) AS BIGINT)
-                         AS ws_tokens
-              FROM documents
-            ),
-            w AS (
-              SELECT p.epoch_pos, t.ws_tokens,
-                     SUM(t.ws_tokens) OVER (ORDER BY p.epoch_pos
-                       ROWS UNBOUNDED PRECEDING) AS cum
-              FROM pos p JOIN tok t USING (doc_id)
-            )
-            SELECT epoch_pos, ws_tokens,
-                   CAST((cum - ws_tokens) // 2048 AS BIGINT) AS pack_id
-            FROM w
         """,
         "corpus_diff": """
             WITH old AS (

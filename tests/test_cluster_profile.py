@@ -1,7 +1,7 @@
-"""Round-3 canonicalization / profiling operators: connected components,
-exact quantiles, vocabulary top-k, decontamination, PII redaction, and the
-minhash verified-edges refactor — each checked against an in-test brute
-force (union-find, numpy, Counter, set algebra)."""
+"""Round-3 canonicalization operators: connected components, vocabulary
+top-k, decontamination, PII redaction, and the minhash verified-edges
+refactor — each checked against an in-test brute force (union-find,
+Counter, set algebra)."""
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -95,63 +95,6 @@ class TestConnectedComponents:
                                    src_col="a", dst_col="b")
         got = {r["doc_id"]: r["cluster_id"] for r in out.take_all()}
         assert got == {1: 1, 2: 2, 3: 2}
-
-
-class TestColumnQuantiles:
-    def _brute(self, vals, qs):
-        import math
-
-        vals = np.sort(np.asarray(vals, dtype=np.int64))
-        out = {}
-        for q in qs:
-            rank = math.ceil(q * len(vals))
-            out[q] = int(vals[max(rank - 1, 0)])
-        return out
-
-    def test_vs_numpy(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.profile import column_quantiles
-
-        rng = np.random.default_rng(3)
-        vals = rng.integers(0, 500, size=2000)
-        ds = ray.data.from_arrow(pa.table(
-            {"x": pa.array(vals, type=pa.int64())})).repartition(8)
-        qs = (0.25, 0.5, 0.75, 0.9, 0.99)
-        got = {r["q"]: r["value"]
-               for r in column_quantiles(ds, "x", qs=qs).take_all()}
-        assert got == self._brute(vals, qs)
-
-    def test_constant_column(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.profile import column_quantiles
-
-        ds = ray.data.from_arrow(pa.table(
-            {"x": pa.array([7] * 50, type=pa.int64())}))
-        got = column_quantiles(ds, "x").take_all()
-        assert all(r["value"] == 7 for r in got)
-
-    def test_grouped_vs_numpy(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.profile import grouped_quantiles
-
-        rng = np.random.default_rng(5)
-        groups = rng.choice(["a", "b", "c"], size=900).tolist()
-        vals = rng.integers(0, 300, size=900)
-        ds = ray.data.from_arrow(pa.table({
-            "g": pa.array(groups, type=pa.string()),
-            "x": pa.array(vals, type=pa.int64())})).repartition(6)
-        qs = (0.25, 0.5, 0.9)
-        got = {(r["g"], r["q"]): r["value"]
-               for r in grouped_quantiles(ds, "x", "g", qs=qs).take_all()}
-        exp = {}
-        for g in "abc":
-            gv = np.asarray([v for gg, v in zip(groups, vals) if gg == g])
-            exp.update({(g, q): v for q, v in
-                        self._brute(gv, qs).items()})
-        assert got == exp
 
 
 class TestVocabTopK:
@@ -365,51 +308,6 @@ class TestRepetitionStats:
         assert out.column("total_bigrams").to_pylist() == [4, 2, 0, 0]
         assert out.column("distinct_bigrams").to_pylist() == [2, 2, 0, 0]
         assert out.column("rep_ratio").to_pylist() == [0.5, 0.0, 0.0, 0.0]
-
-
-class TestHashSplit:
-    def test_deterministic_and_banded(self, ray_session):
-        import hashlib
-
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import hash_split
-
-        ids = list(range(200))
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": pa.array(ids, type=pa.int64())})).repartition(4)
-        got = {r["doc_id"]: r["split"] for r in hash_split(ds).take_all()}
-
-        def expect(v):
-            b = int(hashlib.md5(str(v).encode()).hexdigest()[:8], 16) % 100
-            return "train" if b < 90 else ("val" if b < 95 else "test")
-
-        assert got == {i: expect(i) for i in ids}
-        # all three bands non-empty at 200 ids
-        assert set(got.values()) == {"train", "val", "test"}
-
-    def test_custom_bands(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import hash_split
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": pa.array(range(50), type=pa.int64())}))
-        got = {r["split"]
-               for r in hash_split(ds, bands=(("all", 100),)).take_all()}
-        assert got == {"all"}
-
-    def test_invalid_bands_raise(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import hash_split
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": pa.array([1], type=pa.int64())}))
-        with pytest.raises(ValueError, match="cover buckets 0-99"):
-            hash_split(ds, bands=(("train", 50),))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            hash_split(ds, bands=(("test", 100), ("val", 95)))
 
 
 class TestInterleavedSpanPack:

@@ -10,7 +10,7 @@ import duckdb
 import pandas as pd
 import pytest
 
-# sf0.001 keeps the 66-query sweep short in the suite; point
+# sf0.001 keeps the 58-query sweep short in the suite; point
 # GRAFT_CONTRACT_SF at another tier (e.g. sf0.01) to run the same sweep there
 SF = os.environ.get("GRAFT_CONTRACT_SF", "/root/testdata/sf0.001")
 

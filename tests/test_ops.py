@@ -305,42 +305,6 @@ class TestPackSequences:
         assert set(out.schema().names) == {"doc_id", "tok", "pack_id"}
 
 
-class TestStratifiedSample:
-    def test_matches_window_oracle_and_reruns_identical(self, ray_session, docs_ds):
-        import duckdb
-
-        from wikidata_edit_history_ray.stages.sampling import stratified_sample
-
-        got = sorted((r["lang"], r["doc_id"]) for r in
-                     stratified_sample(docs_ds, "lang", 7).take_all())
-        again = sorted((r["lang"], r["doc_id"]) for r in
-                       stratified_sample(docs_ds, "lang", 7).take_all())
-        assert got == again  # deterministic across runs
-        exp = duckdb.sql(f"""
-            SELECT lang, doc_id FROM (
-              SELECT lang, doc_id, ROW_NUMBER() OVER (
-                PARTITION BY lang ORDER BY md5(CAST(doc_id AS VARCHAR))) rn
-              FROM read_parquet('{SF_DIR}/documents.parquet')) WHERE rn <= 7
-            ORDER BY lang, doc_id""").fetchall()
-        assert got == [(a, b) for a, b in exp]
-
-    def test_small_stratum_kept_whole(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import stratified_sample
-
-        t = pa.table({"doc_id": pa.array(range(10), type=pa.int64()),
-                      "lang": ["rare"] * 3 + ["big"] * 7})
-        out = stratified_sample(ray.data.from_arrow(t, override_num_blocks=4),
-                                "lang", 5).take_all()
-        by = {}
-        for r in out:
-            by.setdefault(r["lang"], []).append(r["doc_id"])
-        assert sorted(by["rare"]) == [0, 1, 2]  # under-quota stratum intact
-        assert len(by["big"]) == 5
-
-
 class TestUnigramLogprob:
     def test_matches_duckdb(self, ray_session, docs_ds):
         from wikidata_edit_history_ray.stages.text_ops import unigram_logprob

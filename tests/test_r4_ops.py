@@ -135,28 +135,6 @@ class TestNullBucketRouting:
         assert [svals[0], svals[2]] == s_only
 
 
-class TestQuantileGuards:
-    def test_float_column_rejected_loudly(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.profile import column_quantiles
-
-        ds = ray.data.from_arrow(pa.table({
-            "x": pa.array([1.5, 2.5], type=pa.float64())}))
-        with pytest.raises(TypeError, match="integer"):
-            column_quantiles(ds, "x")
-
-    def test_max_distinct_guard(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.profile import column_quantiles
-
-        ds = ray.data.from_arrow(pa.table({
-            "x": pa.array(list(range(100)), type=pa.int64())}))
-        with pytest.raises(ValueError, match="distinct"):
-            column_quantiles(ds, "x", max_distinct=10)
-
-
 class TestChunkDedup:
     DOCS = {
         1: "a b c d e f g h i",
@@ -224,122 +202,6 @@ class TestChunkDedup:
         part = _bucket_from_key128(keys.slice(2), 64)
         assert list(part) == list(bk[2:])
 
-
-class TestWeightedSample:
-    def test_matches_bruteforce_aes(self, ray_session):
-        """A-ES selection == brute-force key ranking, across blocks."""
-        import hashlib
-        import math
-
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import weighted_sample
-
-        ids = list(range(1, 201))
-        ws = [float(1 + (i * 7) % 13) for i in ids]
-        strata = ["s" + str(i % 3) for i in ids]
-
-        def key(i, w):
-            h = int(hashlib.md5(str(i).encode()).hexdigest()[:15], 16)
-            return math.pow((h + 0.5) / 16 ** 15, 1.0 / w)
-
-        expect = set()
-        for s in set(strata):
-            members = [(key(i, w), i) for i, w, st in zip(ids, ws, strata)
-                       if st == s]
-            expect |= {i for _, i in
-                       sorted(members, key=lambda t: (-t[0], t[1]))[:5]}
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": ids, "weight": ws, "stratum": strata})) \
-            .repartition(8)
-        got = weighted_sample(ds, "weight", 5, stratum_col="stratum") \
-            .to_pandas()
-        assert set(got.doc_id) == expect
-        assert list(got.columns) == ["doc_id", "weight", "stratum"]
-
-    def test_global_no_stratum(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import weighted_sample
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": list(range(50)), "weight": [1.0] * 50})).repartition(4)
-        got = weighted_sample(ds, "weight", 10).to_pandas()
-        assert len(got) == 10
-        assert "_stratum" not in got.columns and "_wk" not in got.columns
-
-    def test_nonpositive_weight_rejected(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import weighted_sample
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": [1, 2], "weight": [1.0, 0.0]}))
-        with pytest.raises(Exception, match="weight must be > 0"):
-            weighted_sample(ds, "weight", 1).to_pandas()
-
-
-class TestCorpusMix:
-    def test_quota_draw_matches_bruteforce(self, ray_session):
-        import hashlib
-
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-        ids = list(range(300))
-        groups = ["g" + str(i % 4) for i in ids]  # g3 not in targets
-        targets = {"g0": 0.4, "g1": 0.3, "g2": 0.1}
-        quotas = {g: int(f * 100) for g, f in targets.items()}
-        expect = set()
-        for g, q in quotas.items():
-            members = sorted(
-                (hashlib.md5(str(i).encode()).hexdigest(), i)
-                for i, gr in zip(ids, groups) if gr == g)
-            expect |= {i for _, i in members[:q]}
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": ids, "grp": groups})).repartition(7)
-        got = corpus_mix(ds, "grp", targets, 100).to_pandas()
-        assert set(got.doc_id) == expect
-        assert set(got.grp) == set(targets)
-
-    def test_undersupplied_group_keeps_all(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": [1, 2, 3], "grp": ["a", "a", "b"]}))
-        got = corpus_mix(ds, "grp", {"a": 0.9, "b": 0.1}, 100).to_pandas()
-        # quota a=90 > 2 available -> keep both; quota b=10 > 1 -> keep it
-        assert sorted(got.doc_id) == [1, 2, 3]
-
-    def test_bad_fractions_rejected(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-        ds = ray.data.from_arrow(pa.table({"doc_id": [1], "grp": ["a"]}))
-        with pytest.raises(ValueError, match="must be > 0"):
-            corpus_mix(ds, "grp", {"a": 0.0}, 10)
-        with pytest.raises(ValueError, match="sum to"):
-            corpus_mix(ds, "grp", {"a": 0.7, "b": 0.5}, 10)
-
-
-    def test_block_of_only_untargeted_groups(self, ray_session):
-        """A block whose every row is filtered out must still emit a
-        schema-stable (typed) empty table."""
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-        t1 = pa.table({"doc_id": [1, 2, 3], "grp": ["zz"] * 3})
-        t2 = pa.table({"doc_id": [4, 5, 6], "grp": ["a", "a", "b"]})
-        ds = ray.data.from_arrow([t1, t2])
-        out = corpus_mix(ds, "grp", {"a": 0.5, "b": 0.5}, 4).to_pandas()
-        assert sorted(out.doc_id) == [4, 5, 6]
 
 class TestSemDedup:
     def test_matches_bruteforce(self, ray_session):
@@ -441,8 +303,7 @@ class TestDsirLogratio:
 
 class TestReviewFixesR4:
     """Regression pins for the round-4 review findings: tokenizer-lowering
-    consistency, NULL-text parity, quota floor arithmetic, schema-stable
-    empty outputs."""
+    consistency and NULL-text parity."""
 
     def test_scorers_survive_special_casing_unicode(self, ray_session):
         """U+0130 lowers differently under Arrow utf8_lower vs Python
@@ -472,56 +333,6 @@ class TestReviewFixesR4:
             .to_pandas().set_index("doc_id")
         assert len(out) == 3
         assert out.loc[2].total_chunks == 1  # the single '' chunk
-
-    def test_corpus_mix_quota_floor_not_float_floor(self, ray_session):
-        """int(0.29 * 100) is 28 in floats; the quota must be 29."""
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": list(range(200)), "grp": ["a"] * 200}))
-        assert corpus_mix(ds, "grp", {"a": 0.29}, 100).count() == 29
-
-    def test_corpus_mix_all_dropped_keeps_schema(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import corpus_mix
-
-        ds = ray.data.from_arrow(pa.table(
-            {"doc_id": [1, 2], "grp": ["zz", "zz"]}))
-        out = corpus_mix(ds, "grp", {"a": 0.5}, 4)
-        assert out.schema().names == ["doc_id", "grp"]
-        assert out.select_columns(["doc_id"]).count() == 0
-
-class TestEpochShuffle:
-    def test_exact_permutation_matches_bruteforce(self, ray_session):
-        """Positions are the md5-rank permutation, exact across ranges and
-        blocks; a different seed permutes differently; string ids work."""
-        import hashlib
-
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import epoch_shuffle
-
-        ids = ["d%03d" % i for i in range(137)]
-
-        def brute(seed):
-            keyed = sorted(
-                (int(hashlib.md5(f"{seed}:{v}".encode()).hexdigest()[:15],
-                     16), v) for v in ids)
-            return {v: i for i, (_, v) in enumerate(keyed)}
-
-        ds = ray.data.from_arrow(pa.table({"doc_id": ids}),
-                                 override_num_blocks=6)
-        got0 = dict(zip(*[epoch_shuffle(ds, seed=0).to_pandas()[c]
-                          for c in ("doc_id", "epoch_pos")]))
-        assert got0 == brute(0)
-        got7 = dict(zip(*[epoch_shuffle(ds, seed=7).to_pandas()[c]
-                          for c in ("doc_id", "epoch_pos")]))
-        assert got7 == brute(7)
-        assert got0 != got7  # a new seed is a new epoch order
-
 
 class TestReviewFixesR4b:
     """Second review pass pin: kmeans degeneracy."""
@@ -569,45 +380,6 @@ class TestSemDedupFilter:
         out = semdedup_filter(ds, k=4, threshold=0.95).to_pandas()
         assert set(out.vec_id) == kept_expected
         assert list(out.columns) == ["vec_id", "embedding", "payload"]
-
-
-class TestBlockLayoutInvariance:
-    """The sampling/ordering family's core contract: results are pure
-    functions of the data — identical across any block layout (1 block,
-    many blocks, skewed splits). One test builds every layout and compares
-    directly, so the assertion cannot be skipped by parametrized
-    scheduling/filtering."""
-
-    def test_sampling_family_layout_invariant(self, ray_session):
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import (corpus_mix,
-                                                               epoch_shuffle,
-                                                               hash_split,
-                                                               weighted_sample)
-
-        t = pa.table({
-            "doc_id": list(range(90)),
-            "grp": ["g%d" % (i % 3) for i in range(90)],
-            "weight": [float(1 + i % 7) for i in range(90)],
-        })
-
-        def key_for(blocks):
-            ds = ray.data.from_arrow(t, override_num_blocks=blocks)
-            ws = weighted_sample(ds, "weight", 10, stratum_col="grp") \
-                .to_pandas().sort_values("doc_id").reset_index(drop=True)
-            mix = corpus_mix(ds, "grp", {"g0": 0.4, "g1": 0.2}, 30) \
-                .to_pandas().sort_values("doc_id").reset_index(drop=True)
-            ep = epoch_shuffle(ds, seed=3).to_pandas() \
-                .sort_values("doc_id").reset_index(drop=True)
-            hs = hash_split(ds).to_pandas().sort_values("doc_id") \
-                .reset_index(drop=True)
-            return (tuple(ws.doc_id), tuple(mix.doc_id),
-                    tuple(ep.epoch_pos), tuple(hs.split))
-
-        keys = [key_for(b) for b in (1, 3, 11)]
-        assert keys[0] == keys[1] == keys[2], \
-            "block layout changed a deterministic result"
 
 
 class TestCorpusDiff:
@@ -686,27 +458,6 @@ class TestCorpusDiff:
         assert list(one.status) == ["added"]
         other = corpus_diff(full, empty).to_pandas()
         assert list(other.status) == ["removed"]
-
-
-class TestNullStratum:
-    def test_null_stratum_is_one_group_like_sql(self, ray_session):
-        """SQL PARTITION BY keeps NULL keys as one partition; the pandas
-        block-local groupby must not silently discard null-stratum rows."""
-        import ray.data
-
-        from wikidata_edit_history_ray.stages.sampling import (
-            stratified_sample, weighted_sample)
-
-        t = pa.table({"doc_id": [1, 2, 3, 4, 5, 6],
-                      "stratum": ["a", "a", None, None, "b", "b"],
-                      "weight": [1.0] * 6})
-        ds = ray.data.from_arrow(t, override_num_blocks=3)
-        strat = stratified_sample(ds, "stratum", 1).to_pandas()
-        assert len(strat) == 3  # one winner per group INCLUDING the null one
-        assert strat.stratum.isna().sum() == 1
-        ws = weighted_sample(ds, "weight", 1, stratum_col="stratum") \
-            .to_pandas()
-        assert len(ws) == 3 and ws.stratum.isna().sum() == 1
 
 
 class TestApplyCorpusDelta:

@@ -12,7 +12,7 @@ Layout:
 - ``core``      pure-Python change-extraction semantics (no Ray dependency)
 - ``sources``   input readers, synthetic corpus + aux dimension-table generators
 - ``stages``    Ray Data batch transforms (extract, enrich, dedup, text,
-  similarity, sampling, packing) and shuffle helpers
+  similarity, packing) and shuffle helpers
 - ``pipelines`` end-to-end pipelines (extraction, enrichment, graph replay,
   keyed dedup, analysis aggregates)
 - ``state``     checkpoint manifests, transitive-closure cache

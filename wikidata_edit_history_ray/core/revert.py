@@ -35,42 +35,6 @@ def _parse_timestamp(ts):
         return datetime.strptime(ts_str, "%Y-%m-%d %H:%M:%S")
 
 
-def check_revert(current_change: dict, next_change: dict, time_threshold: int) -> int:
-    """1 when next_change reverts current_change.
-
-    Patterns (value-equality on serialized values, window-limited):
-    - direct:   A->B then B->A
-    - trailing: A->B ... ->A with intermediates, requires restore/rollback comment
-    - create:   {}->B then B->{}
-    """
-    curr_old = str(current_change.get("old_value", "")).strip() if current_change.get("old_value", "") != "{}" else ""
-    curr_new = str(current_change.get("new_value", "")).strip() if current_change.get("new_value", "") != "{}" else ""
-    next_old = str(next_change.get("old_value", "")).strip() if next_change.get("old_value", "") != "{}" else ""
-    next_new = str(next_change.get("new_value", "")).strip() if next_change.get("new_value", "") != "{}" else ""
-    next_comment = str(next_change.get("comment", "")).lower()
-
-    diff_seconds = (
-        _parse_timestamp(next_change["timestamp"]) - _parse_timestamp(current_change["timestamp"])
-    ).total_seconds()
-
-    direct = (
-        curr_old == next_new and curr_new == next_old
-        and curr_old != "" and next_new != ""
-        and diff_seconds <= time_threshold
-    )
-    trailing = (
-        curr_old == next_new and curr_old != "" and next_new != ""
-        and curr_new != next_old
-        and (("restore" in next_comment or "rollback" in next_comment)
-             and diff_seconds <= time_threshold)
-    )
-    create_case = (
-        curr_old == "" and next_new == "" and curr_new == next_old
-        and diff_seconds <= time_threshold
-    )
-    return 1 if (direct or trailing or create_case) else 0
-
-
 def tag_reverted_edits(changes_by_pv: dict, value_changes: list, time_threshold: int):
     """Append (is_reverted, reversion, reversion_timestamp, revision_id_reversion)
     to every value_change tuple; returns (final_changes, revert_stats).
@@ -105,9 +69,11 @@ def tag_reverted_edits(changes_by_pv: dict, value_changes: list, time_threshold:
         reversion_keys = set()
         reverted_keys = set()
 
-        # ---- precompute per-change match fields once (the O(n^2) pair scan
-        # with per-pair timestamp parsing is the reference's hot-doc
-        # bottleneck; identical semantics, linearized bookkeeping) ----
+        # ---- precompute per-change match fields once, so no pair parses a
+        # timestamp. The scan stays quadratic per group when values recur
+        # without reverting: every later change with the wanted value is
+        # tried and fails (a 20,000-change three-value cycle took 62.5 s on
+        # one core of a 4-vCPU cloud VM, Python 3.11) ----
         n = len(pv_changes)
         olds, news, epochs = [], [], []
         for c in pv_changes:
@@ -121,8 +87,9 @@ def tag_reverted_edits(changes_by_pv: dict, value_changes: list, time_threshold:
             epochs.append(calendar.timegm(_parse_timestamp(c["timestamp"]).timetuple()))
         # candidate futures for current i must satisfy news[j] == olds[i]
         # (direct / trailing) or news[j] == '' with olds[j] == news[i]
-        # (create case) — anything else can never pass check_revert, so a
-        # posting list over new_value preserves the original scan exactly
+        # (create case) — anything else can never pass the revert predicate
+        # below, so a posting list over new_value preserves the scan over
+        # every j > i exactly (tests/test_revert_oracle.py checks both)
         by_new: dict = {}
         for j in range(n):
             by_new.setdefault(news[j], []).append(j)
